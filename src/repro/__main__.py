@@ -21,12 +21,20 @@ Exit-code contract (pinned by ``tests/test_cli_exit_codes.py``):
   replay.
 * ``2`` -- usage errors: bare ``python -m repro``, an unknown
   subcommand, or bad flags (argparse's own convention).
+
+``degradation``, ``load_tradeoff``, ``unit_scaling`` and
+``resolver_matrix`` are aliases of ``experiment run <id>``.
 """
 
 from __future__ import annotations
 
 import sys
 from typing import List, Optional
+
+#: Experiments that keep a top-level name: ``python -m repro <id> ...``
+#: is ``python -m repro experiment run <id> ...``.
+_EXPERIMENT_ALIASES = ("degradation", "load_tradeoff", "unit_scaling",
+                       "resolver_matrix")
 
 _SUBCOMMANDS = {
     "sim": ("repro.simulation.cli",
@@ -37,17 +45,17 @@ _SUBCOMMANDS = {
              "metrics + trace dump of one seeded scenario"),
     "monitor": ("repro.obs.monitor.cli",
                 "monitored roll-out: series, cohorts, alerts"),
-    "degradation": ("repro.experiments.degradation",
+    "degradation": ("repro.experiments.cli",
                     "fault-kind degradation experiment (TTFB/RTT CDFs)"),
     "soak": ("repro.faults.chaos",
              "seeded chaos soak: N random fault scenarios + invariants"),
-    "load_tradeoff": ("repro.experiments.load_tradeoff",
+    "load_tradeoff": ("repro.experiments.cli",
                       "flash crowd: distance-only vs load-aware "
                       "mapping"),
-    "unit_scaling": ("repro.experiments.unit_scaling",
+    "unit_scaling": ("repro.experiments.cli",
                      "unit count vs accuracy vs query rate across "
                      "unit-construction schemes"),
-    "resolver_matrix": ("repro.experiments.resolver_matrix",
+    "resolver_matrix": ("repro.experiments.cli",
                         "ECS policy matrix + PoP-outage catchment "
                         "shifts on the anycast resolver plane"),
     "profile": ("repro.obs.profile",
@@ -83,6 +91,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     import importlib
 
     module = importlib.import_module(module_name)
+    if name in _EXPERIMENT_ALIASES:
+        return module.main(["run"] + argv)
     return module.main(argv[1:])
 
 

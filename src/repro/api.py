@@ -14,20 +14,16 @@ the monitoring options, and :func:`run` executes the whole scenario:
     outcome.result        # RolloutResult
     outcome.report()      # the monitor's deterministic report
 
-The lower-level :func:`build_world` / :func:`run_rollout` here are the
-*canonical* spellings of the old ``repro.simulation`` entrypoints --
-the old names still work but emit :class:`DeprecationWarning` and
-delegate to the same implementations, so both paths produce identical
-results (a property the shim tests pin byte-for-byte).
+The lower-level :func:`build_world` / :func:`run_rollout` here drive
+one live world through the serial engine.
 
-Both :func:`run` and :func:`run_rollout` accept ``workers=N`` to
-execute through the sharded multi-process engine
-(:mod:`repro.parallel`): the client population splits into ``shards``
-closed sub-worlds and reports merge back deterministically --
-byte-identical across worker counts, since the shard plan (not the
-pool size) is the unit of determinism.  ``workers=None`` (the
-default) keeps the single-RNG serial engine, whose outputs existing
-golden fixtures pin.
+:func:`run` accepts ``workers=N`` to execute through the sharded
+multi-process engine (:mod:`repro.parallel`): the client population
+splits into ``shards`` closed sub-worlds and reports merge back
+deterministically -- byte-identical across worker counts, since the
+shard plan (not the pool size) is the unit of determinism.
+``workers=None`` (the default) runs the serial engine, the one-shard
+plan on the legacy global RNG, whose outputs the golden fixtures pin.
 """
 
 from __future__ import annotations
@@ -412,46 +408,15 @@ def run_rollout(world: World,
                 config: Optional[RolloutConfig] = None,
                 observer=None,
                 injector: Optional[FaultInjector] = None,
-                workers: Optional[int] = None,
-                shards: Optional[int] = None) -> RolloutResult:
-    """Drive the roll-out timeline (canonical spelling).
+                ) -> RolloutResult:
+    """Drive the roll-out timeline over a live world (serial engine).
 
-    With ``workers=N`` the run executes through the sharded engine:
-    the passed world serves as the *configuration carrier* (shard
-    workers rebuild identical worlds from ``world.config`` in their
-    own processes; the parent's instance is left untouched), and the
-    merged :class:`RolloutResult` comes back byte-deterministic for
-    any worker count.  ``observer``/``injector`` close over the
-    caller's world and cannot cross process boundaries -- attach
-    monitoring via :func:`run` with a :class:`ScenarioSpec` instead.
+    For a sharded run, compose a :class:`ScenarioSpec` and call
+    :func:`run` with ``workers=N``: shard workers rebuild their worlds
+    from the spec, so a live world cannot cross into them.
     """
-    if workers is None:
-        if shards is not None:
-            raise ValueError("shards=N requires workers=N")
-        return _run_rollout(world, config=config, observer=observer,
-                            injector=injector)
-    if observer is not None or injector is not None:
-        raise ValueError(
-            "workers=N cannot ship a live observer/injector to shard "
-            "processes; compose a ScenarioSpec and use run(spec, "
-            "workers=N)")
-    from repro.parallel import DEFAULT_SHARDS, run_sharded
-
-    spec = ScenarioSpec(
-        world=world.config,
-        rollout=config or RolloutConfig(),
-        control_plane=(world.control_plane.config
-                       if world.control_plane is not None else None),
-        unit_scheme=(getattr(world.control_plane, "unit_scheme", None)
-                     if world.control_plane is not None else None),
-        monitor=False,
-        resolver_policies=(world.resolver_fleets.policies
-                           if world.resolver_fleets is not None
-                           else None),
-    )
-    sharded = run_sharded(spec, workers=workers,
-                          n_shards=shards or DEFAULT_SHARDS)
-    return sharded.result
+    return _run_rollout(world, config=config, observer=observer,
+                        injector=injector)
 
 
 def run(spec: Optional[ScenarioSpec] = None,

@@ -5,17 +5,24 @@ Usage::
     eum-experiment list
     eum-experiment run fig13 --scale small
     eum-experiment run all --scale tiny
+    eum-experiment run degradation --sessions 40 --format json --out d.json
     eum-experiment report --scale paper   # EXPERIMENTS.md body
 
-Exit status is non-zero if any executed experiment's shape checks fail.
+``--sessions`` / ``--seed`` reach the experiments whose ``run`` takes
+them (``degradation``, ``load_tradeoff``, ``unit_scaling``,
+``resolver_matrix``); giving one to any other experiment is a usage
+error.  Exit status is 1 if any executed experiment's shape checks
+fail, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
 import sys
 import time
-from typing import List
+from typing import Dict, List, Optional
 
 from repro.experiments.base import ExperimentResult, render_result
 from repro.experiments.registry import (
@@ -26,20 +33,49 @@ from repro.experiments.registry import (
 from repro.experiments.scales import scale_names
 
 
-def _run_ids(ids: List[str], scale: str,
-             out=None) -> List[ExperimentResult]:
+def result_document(result: ExperimentResult) -> Dict:
+    """The ``--format json`` document of one experiment result."""
+    return {
+        "experiment_id": result.experiment_id,
+        "scale": result.scale,
+        "rows": result.rows,
+        "summary": result.summary,
+        "checks": [{"name": c.name, "passed": c.passed,
+                    "detail": c.detail} for c in result.checks],
+        "passed": result.passed,
+    }
+
+
+def _run_ids(ids: List[str], scale: str, out=None, fmt: str = "text",
+             **overrides) -> List[ExperimentResult]:
     # Resolve stdout at call time so output capture (tests) works.
     out = out if out is not None else sys.stdout
     results = []
     for experiment_id in ids:
         module = get_experiment(experiment_id)
         started = time.time()
-        result = module.run(scale)
+        result = module.run(scale, **overrides)
         elapsed = time.time() - started
-        print(render_result(result), file=out)
-        print(f"(took {elapsed:.1f}s)\n", file=out)
+        if fmt == "text":
+            print(render_result(result), file=out)
+            print(f"(took {elapsed:.1f}s)\n", file=out)
         results.append(result)
+    if fmt == "json":
+        docs = [result_document(result) for result in results]
+        out.write(json.dumps(docs[0] if len(docs) == 1 else docs,
+                             indent=2, sort_keys=True) + "\n")
     return results
+
+
+def _unsupported_flag(ids: List[str], overrides: Dict) -> Optional[str]:
+    """The first ``--flag`` some experiment in ``ids`` does not take."""
+    for experiment_id in ids:
+        taken = inspect.signature(get_experiment(experiment_id).run)
+        for name in overrides:
+            if name not in taken.parameters:
+                return (f"experiment {experiment_id} does not take "
+                        f"--{name}")
+    return None
 
 
 def render_markdown(results: List[ExperimentResult], scale: str) -> str:
@@ -99,6 +135,14 @@ def main(argv: List[str] | None = None) -> int:
                             help="experiment id (e.g. fig13) or 'all'")
     run_parser.add_argument("--scale", default="tiny",
                             choices=scale_names())
+    run_parser.add_argument("--sessions", type=int, default=None,
+                            help="sessions per day override")
+    run_parser.add_argument("--seed", type=int, default=None,
+                            help="roll-out seed override")
+    run_parser.add_argument("--format", choices=("text", "json"),
+                            default="text")
+    run_parser.add_argument("--out", default=None,
+                            help="write to this path instead of stdout")
 
     report_parser = sub.add_parser(
         "report", help="run everything and print a summary table")
@@ -119,7 +163,21 @@ def main(argv: List[str] | None = None) -> int:
     if args.command == "run":
         ids = (experiment_ids() if args.experiment == "all"
                else [args.experiment])
-        results = _run_ids(ids, args.scale)
+        overrides = {name: getattr(args, name)
+                     for name in ("sessions", "seed")
+                     if getattr(args, name) is not None}
+        problem = _unsupported_flag(ids, overrides)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
+        if args.out is None:
+            results = _run_ids(ids, args.scale, fmt=args.format,
+                               **overrides)
+        else:
+            with open(args.out, "w") as handle:
+                results = _run_ids(ids, args.scale, out=handle,
+                                   fmt=args.format, **overrides)
+            print(f"wrote {args.out}", file=sys.stderr)
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "report":

@@ -25,17 +25,15 @@ and 4 workers and requires byte-identical merged state.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.api import ScenarioSpec
 from repro.api import run as run_scenario
 from repro.core.mapmaker import MapMakerConfig, TIERS, UNIT_TIERS
-from repro.experiments.base import ExperimentResult, ratio, render_result
-from repro.experiments.scales import get_scale, scale_names
+from repro.experiments.base import ExperimentResult, ratio
+from repro.experiments.scales import get_scale
 from repro.simulation.rollout import RolloutConfig, _run_rollout
 from repro.simulation.world import _build_world
 
@@ -249,48 +247,3 @@ def run(scale: str, sessions: Optional[int] = None,
         "digest": digests[1][:16],
     }
     return result
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro unit_scaling", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scale", default="tiny", choices=scale_names())
-    parser.add_argument("--sessions", type=int, default=None,
-                        help=f"sessions per day (default "
-                             f"{BASE_SESSIONS})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="roll-out seed override (default 17)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--out", default=None,
-                        help="write to this path instead of stdout")
-    args = parser.parse_args(argv)
-
-    print(f"running {EXPERIMENT_ID} (scale={args.scale})...",
-          file=sys.stderr)
-    result = run(args.scale, sessions=args.sessions, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "experiment_id": result.experiment_id,
-            "scale": result.scale,
-            "rows": result.rows,
-            "summary": result.summary,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in result.checks],
-            "passed": result.passed,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = render_result(result) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0 if result.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

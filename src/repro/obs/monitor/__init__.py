@@ -7,7 +7,7 @@ paper's phased roll-out (Section 4): windowed per-day series
 sizes (:mod:`~repro.obs.monitor.cohorts`), declarative alerting with
 hysteresis (:mod:`~repro.obs.monitor.alerts`), and the
 :class:`~repro.obs.monitor.driver.RolloutMonitor` observer that wires
-all three into :func:`repro.simulation.rollout.run_rollout`.
+all three into a roll-out run (:func:`repro.api.run`).
 
 Run the seeded scenario from the command line::
 

@@ -1,8 +1,9 @@
-"""Roll-out monitor: observes ``run_rollout`` day by day.
+"""Roll-out monitor: observes a roll-out day by day.
 
 :class:`RolloutMonitor` is the object you hand to
-:func:`repro.simulation.rollout.run_rollout` as ``observer``; once per
-simulated day it
+:func:`repro.api.run_rollout` as ``observer`` (or that
+:func:`repro.api.run` attaches from a spec); once per simulated day
+it
 
 1. ingests the day's RUM beacons into a
    :class:`~repro.obs.monitor.cohorts.CohortComparator` (the paper's
@@ -213,12 +214,25 @@ class RolloutMonitor:
                    day_seconds=getattr(config, "day_seconds", 86400.0),
                    **kwargs)
 
-    # -- the observer protocol run_rollout drives ------------------------
+    # -- the observer protocol the roll-out engines drive ----------------
 
     def on_day(self, day: int, world, result) -> None:
-        """Called by ``run_rollout`` after each simulated day."""
+        """Called by the serial engine after each simulated day."""
+        self.observe(day, world.obs.registry, result)
+
+    def observe(self, day: int, registry, result) -> None:
+        """Fold one finished day into the monitor.
+
+        ``registry`` holds the instruments at the end of ``day``;
+        ``result`` is the run's :class:`RolloutResult`, read only at
+        ``day`` (per-day tallies, the day's query-log bucket) and
+        through the next ``sessions - failed`` beacons of its day-sorted
+        beacon list -- so a complete result replayed day by day (the
+        sharded engine's merged one) reads exactly what the live run
+        showed.
+        """
         self._ingest_beacons(day, result)
-        snapshot = world.obs.registry.snapshot()
+        snapshot = registry.snapshot()
         self.store.capture(day, snapshot)
         self._derive_gauges(day, snapshot, result)
         self._cohort_series(day)
@@ -226,8 +240,10 @@ class RolloutMonitor:
         self.days_observed += 1
 
     def _ingest_beacons(self, day: int, result) -> None:
-        beacons = result.rum.beacons
-        for beacon in beacons[self._seen_beacons:]:
+        completed = (result.sessions_per_day.get(day, 0)
+                     - result.failed_sessions_per_day.get(day, 0))
+        end = self._seen_beacons + completed
+        for beacon in result.rum.beacons[self._seen_beacons:end]:
             # The paper's expectation split is defined over clients of
             # public resolvers (Section 4.1.1).
             if beacon.via_public_resolver:
@@ -238,7 +254,7 @@ class RolloutMonitor:
             # carry a client subnet end to end?
             self._observe_cohort(
                 beacon, "ecs_on" if beacon.ecs_used else "control")
-        self._seen_beacons = len(beacons)
+        self._seen_beacons = end
 
     def _observe_cohort(self, beacon, cohort: str) -> None:
         for metric in self.cohort_metrics:
@@ -253,9 +269,12 @@ class RolloutMonitor:
         self.store.record(day, "dns.qps_public",
                           log.bucket_rate(day, public_only=True),
                           help="...from public resolvers")
-        self.store.record(day, "dns.ecs_share", log.ecs_share(),
-                          help="cumulative ECS share of auth queries")
         gauges = snapshot.get("gauges", {})
+        self.store.record(
+            day, "dns.ecs_share",
+            _ratio(gauges.get("querylog.ecs_queries", 0.0),
+                   gauges.get("querylog.queries", 0.0)),
+            help="cumulative ECS share of auth queries")
         self.store.record(
             day, "edge.cache.hit_rate",
             _ratio(gauges.get("edge.cache.hits", 0.0),
@@ -287,10 +306,8 @@ class RolloutMonitor:
         self._control_plane_series(day, snapshot, gauges)
         self._resolver_plane_series(day, snapshot, gauges, result)
         sessions = result.sessions_per_day.get(day, 0)
-        failed = getattr(result, "failed_sessions_per_day",
-                         {}).get(day, 0)
-        degraded = getattr(result, "degraded_sessions_per_day",
-                           {}).get(day, 0)
+        failed = result.failed_sessions_per_day.get(day, 0)
+        degraded = result.degraded_sessions_per_day.get(day, 0)
         completed = sessions - failed
         self.store.record(
             day, "availability",
@@ -353,10 +370,8 @@ class RolloutMonitor:
         if "resolver.pops_total" not in gauges:
             return
         sessions = result.sessions_per_day.get(day, 0)
-        failed = getattr(result, "failed_sessions_per_day",
-                         {}).get(day, 0)
-        shifted = getattr(result, "catchment_shifted_per_day",
-                          {}).get(day, 0)
+        failed = result.failed_sessions_per_day.get(day, 0)
+        shifted = result.catchment_shifted_per_day.get(day, 0)
         self.store.record(
             day, "mapping.catchment_shift_share",
             _ratio(shifted, sessions - failed),

@@ -9,14 +9,14 @@ one report -- byte-identical no matter how many workers ran, because
 the unit of determinism is the shard plan, not the process count.
 
 * :mod:`repro.parallel.plan` -- the deterministic prefix partitioner
-  and the per-day session apportionment.
+  and the per-day session apportionment (the serial engine runs the
+  one-shard plan, so it imports only this module).
 * :mod:`repro.parallel.engine` -- the shard worker, the process pool,
   and the monitor replay over merged per-day registries.
 * :mod:`repro.parallel.merge` -- the merge algebra for everything a
   shard produces (registries, RUM beacons, query logs, traces).
 
-Entry points: ``repro.api.run(spec, workers=N)``,
-``repro.api.run_rollout(..., workers=N)``, and the CLIs
+Entry points: ``repro.api.run(spec, workers=N)`` and the CLIs
 (``python -m repro sim rollout --workers N``,
 ``python -m repro soak --workers N``).
 """
@@ -28,7 +28,6 @@ from repro.parallel.plan import (
     plan_shards,
     shard_of_prefix,
 )
-from repro.parallel.engine import ShardedRun, run_sharded
 
 __all__ = [
     "DEFAULT_SHARDS",
@@ -39,3 +38,13 @@ __all__ = [
     "run_sharded",
     "shard_of_prefix",
 ]
+
+
+def __getattr__(name: str):
+    # The engine (and its process pool) loads on first use, keeping it
+    # off the serial engine's import path.
+    if name in ("ShardedRun", "run_sharded"):
+        from repro.parallel import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,9 +26,9 @@ from repro.simulation.rollout import RolloutConfig
 
 
 def positive_int(text: str) -> int:
-    """argparse type for worker/shard counts: a strictly positive
-    integer, rejected with exit code 2 (the usage-error contract)
-    otherwise."""
+    """argparse type for worker/shard/session counts: a strictly
+    positive integer, rejected with exit code 2 (the usage-error
+    contract) otherwise."""
     try:
         value = int(text)
     except ValueError:
@@ -279,8 +279,10 @@ def main(argv: List[str] | None = None) -> int:
 
     rollout = sub.add_parser("rollout", help="run a custom roll-out")
     add_common(rollout)
-    rollout.add_argument("--days", type=int, default=45)
-    rollout.add_argument("--sessions", type=int, default=150,
+    rollout.add_argument("--days", type=int, default=45,
+                         help="timeline length (at least 3: a day "
+                              "before, during and after the roll-out)")
+    rollout.add_argument("--sessions", type=positive_int, default=150,
                          help="sessions per day")
     rollout.add_argument("--workers", type=positive_int, default=None,
                          help="run sharded across N worker processes "
@@ -337,6 +339,8 @@ def main(argv: List[str] | None = None) -> int:
         # Units only exist in the published map: asking for a scheme
         # without the control plane is a usage error (exit code 2).
         rollout.error("--unit-scheme requires --control-plane")
+    if args.command == "rollout" and args.days < 3:
+        rollout.error(f"--days must be at least 3, got {args.days}")
     handlers = {
         "world-info": _cmd_world_info,
         "rollout": _cmd_rollout,

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import datetime
 import random
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.stats import weighted_quantile
 from repro.cdn.server import DAILY_LOAD_RETENTION
 from repro.measurement.netsession import NetSessionCollector
 from repro.measurement.rum import RumBeacon, RumCollector
 from repro.measurement.querylog import QueryLog
+from repro.parallel.plan import ShardPlan, apportion, plan_shards
 from repro.simulation.session import simulate_session
 from repro.simulation.world import World
-from repro.topology.traffic import DayTraffic, TrafficSchedule
+from repro.topology.traffic import DayTraffic, TrafficSchedule, day_weight
 
 DAY_SECONDS = 86400.0
 
@@ -166,28 +166,15 @@ def classify_expectation_groups(
         {b.prefix: b.country for b in world.internet.blocks})
 
 
-def run_rollout(*, world: World,
-                config: Optional[RolloutConfig] = None,
-                observer=None) -> RolloutResult:
-    """Deprecated spelling of :func:`repro.api.run_rollout`.
-
-    Kept as a keyword-only shim so existing callers keep working; new
-    code should compose a :class:`repro.api.ScenarioSpec` (or call
-    ``repro.api.run_rollout``) instead.
-    """
-    warnings.warn(
-        "repro.simulation.run_rollout is deprecated; use "
-        "repro.api.run_rollout (or repro.api.run with a ScenarioSpec)",
-        DeprecationWarning, stacklevel=2)
-    return _run_rollout(world, config=config, observer=observer)
-
-
 def _run_rollout(world: World,
                  config: Optional[RolloutConfig] = None,
                  observer=None,
                  injector=None,
                  traffic: Optional[TrafficSchedule] = None) -> RolloutResult:
-    """Run the full roll-out timeline against a world.
+    """Run the full roll-out timeline against a world (serial engine).
+
+    The serial engine is the one-shard plan of :func:`run_days`, drawn
+    from the legacy global stream ``random.Random(config.seed)``.
 
     ``observer`` is an optional monitoring hook -- any object with an
     ``on_day(day, world, result)`` method (e.g.
@@ -196,29 +183,72 @@ def _run_rollout(world: World,
     the observer receives no RNG and every random draw happens before
     it is invoked, so a monitored and an unmonitored roll-out replay
     identically.
+    """
+    config = config or RolloutConfig()
+    on_day = None
+    if observer is not None:
+        profiler = world.obs.profiler
+
+        def on_day(day: int, world: World, result: RolloutResult) -> None:
+            with profiler.phase("monitor.observe"):
+                observer.on_day(day, world, result)
+
+    return run_days(world, config, rng=random.Random(config.seed),
+                    plan=plan_shards(world.internet, 1),
+                    injector=injector, traffic=traffic, on_day=on_day)
+
+
+def run_days(world: World, config: RolloutConfig, *,
+             rng: random.Random,
+             plan: ShardPlan,
+             shard: int = 0,
+             injector=None,
+             traffic: Optional[TrafficSchedule] = None,
+             on_day: Optional[Callable] = None,
+             keep_beacons: bool = True,
+             pair_tracking: bool = True) -> RolloutResult:
+    """The day loop both engines run: one shard of the roll-out.
+
+    Every day steps the fault schedule, reports yesterday's load,
+    ticks the control plane, flips the next tranche of ECS resolvers,
+    then simulates ``shard``'s quota of the day's sessions -- drawn
+    from ``rng`` over the shard's own blocks of ``plan`` -- and calls
+    ``on_day(day, world, result)`` last.  The timeline (faults, ticks,
+    ECS flips) is identical in every shard; only client sessions are
+    partitioned.  A one-shard plan reproduces the legacy global draw
+    sequence exactly: its block pick is the same bisect over the same
+    running demand sum as :meth:`Internet.pick_block`, and its quota
+    is the whole day.
 
     ``injector`` is an optional :class:`repro.faults.FaultInjector`
     stepped at the top of each day, before any session runs, so a
     day's sessions see exactly the faults scheduled for that day.
 
     ``traffic`` is an optional
-    :class:`~repro.topology.traffic.TrafficSchedule` of surge shapes;
-    each day's session volume, block picks, and provider picks flow
-    through a :class:`~repro.topology.traffic.DayTraffic` view.  An
-    empty/None schedule replays the legacy draw sequence bit-for-bit.
-    """
-    config = config or RolloutConfig()
-    rng = random.Random(config.seed)
-    profiler = world.obs.profiler
+    :class:`~repro.topology.traffic.TrafficSchedule` of surge shapes:
+    day volume scales by the *global* multiplier, the shard's quota is
+    apportioned by surge-weighted shard demand, and block and provider
+    picks flow through a :class:`~repro.topology.traffic.DayTraffic`
+    view.  An empty/None schedule replays the legacy draws bit-for-bit.
 
+    ``keep_beacons`` / ``pair_tracking`` let bench runs drop the RUM
+    beacon list and the query log's pair rows, which dominate memory
+    at millions of sessions without changing any counter.
+    """
+    profiler = world.obs.profiler
     with profiler.phase("rollout.classify"):
         medians = classify_expectation_groups(world)
     high_expectation, _ = split_expectation_groups(
         medians, config.expectation_threshold_miles)
 
     world.disable_all_ecs()
-    world.query_log.enable_pair_tracking()
+    if pair_tracking:
+        world.query_log.enable_pair_tracking()
     public_ids = world.public_ldns_ids()
+    blocks = world.internet.blocks
+    if traffic and plan.n_shards > 1:
+        shard_blocks = [[blocks[i] for i in indices]
+                        for indices in plan.block_indices]
 
     result = RolloutResult(
         config=config,
@@ -269,18 +299,30 @@ def _run_rollout(world: World,
             month = day // 30
             sessions_today = int(round(
                 config.sessions_per_day * (1.0 + config.monthly_growth * month)))
-            day_traffic = (DayTraffic(traffic, day, world.internet.blocks)
-                           if traffic else None)
-            if day_traffic is not None:
+            day_traffic = None
+            if traffic:
+                day_traffic = DayTraffic(traffic, day, blocks)
                 sessions_today = max(1, int(round(
                     sessions_today * day_traffic.volume_multiplier)))
-            spacing = DAY_SECONDS / sessions_today
+                if plan.n_shards > 1:
+                    # A shard holding the surging geo gets the extra
+                    # sessions: apportion by surge-weighted demand.
+                    weights = [day_weight(traffic, day, own)
+                               for own in shard_blocks]
+                    quota = apportion(sessions_today, weights)[shard]
+                    day_traffic = DayTraffic(traffic, day,
+                                             shard_blocks[shard])
+                else:
+                    quota = sessions_today
+            else:
+                quota = plan.sessions_for_day(sessions_today)[shard]
+            spacing = DAY_SECONDS / quota if quota else DAY_SECONDS
 
             requests_today = 0
             failed_today = 0
             degraded_today = 0
             shifted_today = 0
-            for index in range(sessions_today):
+            for index in range(quota):
                 now = day * DAY_SECONDS + index * spacing + rng.uniform(
                     0, spacing * 0.5)
                 if day_traffic is not None:
@@ -289,7 +331,7 @@ def _run_rollout(world: World,
                     session = simulate_session(world, block, now, rng,
                                                provider=provider)
                 else:
-                    block = world.internet.pick_block(rng)
+                    block = plan.pick_block(shard, blocks, rng)
                     session = simulate_session(world, block, now, rng)
                 requests_today += session.requests
                 if session.failed:
@@ -301,36 +343,37 @@ def _run_rollout(world: World,
                     degraded_today += 1
                 if session.catchment_shifted:
                     shifted_today += 1
-                result.rum.record(RumBeacon(
-                    day=day,
-                    block=block.prefix,
-                    country=block.country,
-                    domain=session.domain,
-                    high_expectation=block.country in high_expectation,
-                    via_public_resolver=session.via_public_resolver,
-                    dns_ms=session.dns_ms,
-                    rtt_ms=session.rtt_ms,
-                    ttfb_ms=session.ttfb_ms,
-                    download_ms=session.download_ms,
-                    mapping_distance_miles=session.mapping_distance_miles,
-                    server_ip=session.server_ip,
-                    ecs_used=session.ecs_used,
-                ))
-            result.sessions_per_day[day] = sessions_today
+                if keep_beacons:
+                    result.rum.record(RumBeacon(
+                        day=day,
+                        block=block.prefix,
+                        country=block.country,
+                        domain=session.domain,
+                        high_expectation=block.country in high_expectation,
+                        via_public_resolver=session.via_public_resolver,
+                        dns_ms=session.dns_ms,
+                        rtt_ms=session.rtt_ms,
+                        ttfb_ms=session.ttfb_ms,
+                        download_ms=session.download_ms,
+                        mapping_distance_miles=(
+                            session.mapping_distance_miles),
+                        server_ip=session.server_ip,
+                        ecs_used=session.ecs_used,
+                    ))
+            result.sessions_per_day[day] = quota
             result.requests_per_day[day] = requests_today
             result.failed_sessions_per_day[day] = failed_today
             result.degraded_sessions_per_day[day] = degraded_today
             result.catchment_shifted_per_day[day] = shifted_today
-            profiler.count("sessions", sessions_today)
+            profiler.count("sessions", quota)
             profiler.count("requests", requests_today)
-            registry.counter("rollout.sessions").inc(sessions_today)
+            registry.counter("rollout.sessions").inc(quota)
             registry.counter("rollout.requests").inc(requests_today)
             if failed_today:
                 registry.counter("rollout.failed_sessions").inc(failed_today)
 
-            if observer is not None:
-                with profiler.phase("monitor.observe"):
-                    observer.on_day(day, world, result)
+            if on_day is not None:
+                on_day(day, world, result)
 
     if injector is not None:
         injector.finish()

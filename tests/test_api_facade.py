@@ -2,32 +2,26 @@
 
 Pins the API-redesign contracts:
 
-* the legacy ``repro.simulation`` spellings of ``build_world`` /
-  ``run_rollout`` are keyword-only shims that warn but produce results
-  identical to the canonical ``repro.api`` spellings (byte-for-byte at
-  the monitor-report level);
 * :class:`repro.api.ScenarioSpec` + :func:`repro.api.run` compose
   world, roll-out, faults, and monitoring into one entrypoint;
 * ``python -m repro <subcommand>`` dispatches to every legacy CLI, and
   the legacy ``python -m repro.<module>`` spellings keep working with a
-  stderr pointer while their stdout stays byte-identical.
+  stderr pointer while their stdout stays byte-identical;
+* importing :mod:`repro.api` never loads the sharded engine or its
+  process pool.
 """
 
 import datetime
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
 import repro.__main__ as repro_main
-from repro.api import ScenarioSpec, build_world, run, run_rollout
+from repro.api import ScenarioSpec, run
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.obs.monitor import RolloutMonitor
-from repro.simulation import rollout as rollout_mod
-from repro.simulation import world as world_mod
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
 
@@ -41,49 +35,6 @@ SHORT = RolloutConfig(
     sessions_per_day=20,
     seed=11,
 )
-
-
-class TestDeprecatedShims:
-    def test_build_world_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            world_mod.build_world(config=WorldConfig.tiny())
-
-    def test_run_rollout_shim_warns(self):
-        world = build_world(WorldConfig.tiny())
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            rollout_mod.run_rollout(world=world, config=SHORT)
-
-    def test_shims_are_keyword_only(self):
-        with pytest.raises(TypeError):
-            world_mod.build_world(WorldConfig.tiny())
-        world = build_world(WorldConfig.tiny())
-        with pytest.raises(TypeError):
-            rollout_mod.run_rollout(world, SHORT)
-
-    def test_canonical_spellings_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            world = build_world(WorldConfig.tiny())
-            run_rollout(world, SHORT)
-
-    def test_legacy_and_api_paths_byte_identical(self):
-        """The acceptance property: old spelling, new spelling, same
-        bytes out of the monitor."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            world = world_mod.build_world(config=WorldConfig.tiny())
-            monitor = RolloutMonitor.for_config(SHORT)
-            legacy = rollout_mod.run_rollout(world=world, config=SHORT,
-                                             observer=monitor)
-        legacy_report = monitor.report({"path": "legacy"})
-
-        outcome = run(ScenarioSpec(world=WorldConfig.tiny(),
-                                   rollout=SHORT))
-        api_report = outcome.report({"path": "legacy"})
-
-        assert len(legacy.rum) == len(outcome.result.rum)
-        assert (json.dumps(legacy_report, sort_keys=True)
-                == json.dumps(api_report, sort_keys=True))
 
 
 class TestScenarioSpec:
@@ -170,3 +121,19 @@ class TestLegacyEntrypoints:
         assert "python -m repro dump" in legacy.stderr
         assert "deprecated" not in unified.stderr
         assert legacy.stdout == unified.stdout
+
+
+class TestImportGraph:
+    def test_serial_api_does_not_load_the_process_pool(self):
+        """The serial engine runs the one-shard plan, so it imports
+        ``repro.parallel.plan`` -- but neither the sharded engine nor
+        the process pool behind it."""
+        code = ("import sys, repro.api; print(sorted(m for m in "
+                "('repro.parallel.engine', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True,
+            text=True, timeout=120, cwd=REPO_ROOT,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -94,6 +94,40 @@ class TestWorkersValidation:
         assert "--workers" in out
 
 
+class TestRolloutValidation:
+    """Degenerate ``sim rollout`` timelines and volumes are usage
+    errors (exit 2) caught before any world is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--sessions", "0"], ["--sessions", "-5"],
+        ["--days", "0"], ["--days", "1"],
+    ], ids=["sessions-0", "sessions-neg", "days-0", "days-1"])
+    def test_degenerate_rollout_exits_two(self, argv):
+        code, _, err = _run(["sim", "rollout", *argv])
+        assert code == 2
+        assert "Traceback" not in err
+        assert argv[0] in err
+
+
+class TestExperimentRunFlags:
+    """``experiment run`` owns the experiment flags; the four
+    experiments with a top-level name are aliases of it."""
+
+    @pytest.mark.parametrize("flag", ["--sessions", "--seed"])
+    def test_flag_an_experiment_does_not_take_exits_two(self, flag):
+        code, _, err = _run(["experiment", "run", "fig05", flag, "3"])
+        assert code == 2
+        assert err.strip() == f"error: experiment fig05 does not take {flag}"
+
+    @pytest.mark.parametrize("name", ["degradation", "load_tradeoff",
+                                      "unit_scaling", "resolver_matrix"])
+    def test_alias_is_experiment_run(self, name):
+        code, out, _ = _run([name, "--help"])
+        assert code == 0
+        assert out.startswith("usage: eum-experiment run")
+        assert "--sessions" in out and "--format" in out
+
+
 class TestTrafficValidation:
     """``--traffic`` parses and grammar-validates before any world is
     built, so every malformed schedule is a usage error (exit 2), not

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.api import ScenarioSpec, build_world, run, run_rollout
+from repro.api import ScenarioSpec, build_world, run
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
 from repro.faults.chaos import SoakConfig, _scenario_spec
@@ -357,12 +357,6 @@ class TestValidation:
     def test_shards_without_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             run(ROLLOUT_SPEC, shards=4)
-
-    def test_run_rollout_rejects_live_observer_with_workers(
-            self, tiny_world):
-        with pytest.raises(ValueError, match="observer"):
-            run_rollout(tiny_world, ROLLOUT_SPEC.rollout,
-                        observer=object(), workers=2)
 
     def test_default_shard_count_is_eight(self):
         assert DEFAULT_SHARDS == 8

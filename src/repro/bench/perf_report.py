@@ -27,7 +27,9 @@ the pre-vectorization hot path) and ``X_batch`` (the
 :mod:`repro.net.batch` kernels) -- run the *same workload*, so their
 ``wall_s`` ratio is the speedup vectorization delivers (exported in
 ``speedups``), and the ``_scalar`` rows double as the "before" numbers
-for future PRs.
+for future PRs.  Two pairs time redundant work removed rather than
+vectorized: ``candidates`` (a ring walk per call vs the per-target
+memo) and ``dns_hop`` (four codec passes per exchange vs two).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cdn.deployments import build_deployments
+from repro.core.discovery import CandidateIndex
 from repro.core.measurement import (
     MeasurementService,
     TargetGrid,
@@ -51,14 +54,20 @@ from repro.core.measurement import (
 )
 from repro.core.policies import MapTarget
 from repro.core.scoring import Scorer
+from repro.dnsproto.edns import ClientSubnetOption
+from repro.dnsproto.message import Message, ResourceRecord, make_query
+from repro.dnsproto.rdata import ARdata
+from repro.dnsproto.types import QType
+from repro.dnssrv.authoritative import AuthoritativeServer, StaticZone
 from repro.experiments import fig25
 from repro.experiments.scales import get_scale
 from repro.net import batch
 from repro.net.geometry import great_circle_miles
+from repro.net.ipv4 import parse_ipv4, prefix_of
 from repro.net.latency import LatencyModel
 from repro.obs import Observability
 from repro.obs.profile import PhaseProfiler, flatten_phases
-from repro.topology.internet import Internet, build_internet
+from repro.topology.internet import Internet, InternetConfig, build_internet
 
 BenchResult = Dict[str, float]
 
@@ -288,6 +297,70 @@ def run_kernel_micro(report: PerfReport, n_a: int = 400,
 
     report.bench("peering_penalty_scalar", "micro", _peer_scalar)
     report.bench("peering_penalty_batch", "micro", _peer_batch)
+
+    _candidate_and_hop_micro(report, rng, n_b)
+
+
+def _candidate_and_hop_micro(report: PerfReport, rng, n_calls: int) -> None:
+    """Candidate discovery and the DNS hop, each as a before/after pair.
+
+    ``candidates``: a demand-weighted stream of ``n_calls`` block
+    targets of the tiny world, about 15 calls per distinct target as
+    in the scenario benchmark's ``eu_day``, answered by the ring walk
+    on every call (``_scalar``) or through the per-target memo
+    (``_batch``).
+    ``dns_hop``: ``n_calls`` ECS A exchanges with an authoritative,
+    paying four codec passes each as a decoding transport would
+    (``_scalar``) or the two encodes of the in-memory hop (``_batch``).
+    """
+    internet = build_internet(InternetConfig.tiny(), seed=2014)
+    plan = build_deployments(40, internet.geodb, seed=2015,
+                             host_ases=list(internet.ases.values()))
+    heavy = sorted(internet.blocks, key=lambda b: -b.demand)
+    heavy = heavy[:max(1, n_calls // 15)]
+    demand = np.array([block.demand for block in heavy])
+    picks = rng.choice(len(heavy), size=n_calls, p=demand / demand.sum())
+    stream = [MapTarget(geo=heavy[i].geo, asn=heavy[i].asn)
+              for i in picks]
+
+    def _walk_scalar() -> int:
+        index = CandidateIndex(plan)
+        for target in stream:
+            index._discover(target)
+        return n_calls
+
+    def _walk_batch() -> int:
+        index = CandidateIndex(plan)
+        for target in stream:
+            index.candidates(target)
+        return n_calls
+
+    report.bench("candidates_scalar", "micro", _walk_scalar)
+    report.bench("candidates_batch", "micro", _walk_batch)
+
+    server = AuthoritativeServer(parse_ipv4("10.0.0.53"))
+    zone = StaticZone()
+    for last in (1, 2):
+        zone.add(ResourceRecord("a1.w10.cdn.example", QType.A, 20,
+                                ARdata(parse_ipv4(f"10.1.0.{last}"))))
+    server.attach_zone("cdn.example", zone)
+    client = parse_ipv4("10.2.3.4")
+    query = make_query("a1.w10.cdn.example", msg_id=1,
+                       ecs=ClientSubnetOption(prefix_of(client, 24)))
+
+    def _hop_scalar() -> int:
+        for _ in range(n_calls):
+            Message.decode(server.handle_wire(query.encode(), client, 0.0))
+        return n_calls
+
+    def _hop_batch() -> int:
+        for _ in range(n_calls):
+            query.encode()
+            server.handle_query(query, client, 0.0)
+        return n_calls
+
+    report.bench("dns_hop_scalar", "micro", _hop_scalar)
+    report.bench("dns_hop_batch", "micro", _hop_batch)
 
 
 def main(argv=None) -> int:

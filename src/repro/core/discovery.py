@@ -4,14 +4,19 @@ Paper Section 2.2: the server-assignment pipeline first builds "a
 real-time topological map of the Internet that captures how well the
 different parts of the Internet connect with each other" (*topology
 discovery*), and scoring then evaluates *candidate* clusters -- not
-every cluster on the planet -- for each mapping unit.
+every cluster on the planet -- for each mapping unit.  Discovery is a
+*periodic* pipeline whose output the per-query scoring reads; it is
+not recomputed per query.
 
 :class:`CandidateIndex` is that pre-cut: a spatial index over
 deployment clusters that returns the ``k`` geographically nearest
 clusters (plus every same-AS in-network cluster, which may be the
 network-topologically best choice regardless of distance).  The global
 load balancer scores only these candidates, turning each mapping
-decision from O(#clusters) into O(k).
+decision from O(#clusters) into O(k).  The cluster set is fixed once
+deployments are built, so each (location, AS) target's candidates are
+computed on first use and then served from a memo; liveness is not
+part of the answer (callers filter dead clusters themselves).
 """
 
 from __future__ import annotations
@@ -23,6 +28,21 @@ from repro.core.policies import MapTarget
 from repro.net.geometry import GeoPoint, great_circle_miles
 
 _CELL_DEG = 10.0
+_MAX_RINGS = int(180 // _CELL_DEG) + 1
+
+
+def _ring_offsets(ring: int) -> Tuple[Tuple[int, int], ...]:
+    """(dy, dx) of the cells on the perimeter of ring ``ring``."""
+    if ring == 0:
+        return ((0, 0),)
+    edges = [(dy, dx) for dy in (-ring, ring)
+             for dx in range(-ring, ring + 1)]
+    edges += [(dy, dx) for dy in range(1 - ring, ring)
+              for dx in (-ring, ring)]
+    return tuple(edges)
+
+
+_RINGS = tuple(_ring_offsets(ring) for ring in range(_MAX_RINGS))
 
 
 class CandidateIndex:
@@ -41,6 +61,7 @@ class CandidateIndex:
                                    []).append(cluster)
             self._by_asn.setdefault(cluster.asn, []).append(cluster)
         self._all = list(deployments.clusters.values())
+        self._memo: Dict[Tuple[GeoPoint, int], List[Cluster]] = {}
 
     @staticmethod
     def _cell(geo: GeoPoint) -> Tuple[int, int]:
@@ -52,29 +73,33 @@ class CandidateIndex:
         The k geographically nearest clusters, searched outward in
         grid rings, unioned with all clusters deployed inside the
         target's AS.  Falls back to the full cluster list when the
-        index would return fewer than k (tiny deployments).
+        index would return fewer than k (tiny deployments).  The
+        returned list is the caller's own: mutating it does not touch
+        the memo.
         """
+        key = (target.geo, target.asn)
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = self._discover(target)
+        return list(cached)
+
+    def _discover(self, target: MapTarget) -> List[Cluster]:
         if len(self._all) <= self.k_nearest:
             return list(self._all)
         found: List[Tuple[float, Cluster]] = []
         seen: set = set()
-        home = self._cell(target.geo)
-        max_rings = int(180 // _CELL_DEG) + 1
-        for ring in range(max_rings):
+        home_y, home_x = self._cell(target.geo)
+        for ring, offsets in enumerate(_RINGS):
             added = False
-            for dy in range(-ring, ring + 1):
-                for dx in range(-ring, ring + 1):
-                    if max(abs(dy), abs(dx)) != ring:
+            for dy, dx in offsets:
+                cell = (home_y + dy, int((home_x + dx + 18) % 36 - 18))
+                for cluster in self._cells.get(cell, ()):
+                    if cluster.cluster_id in seen:
                         continue
-                    cell = (home[0] + dy,
-                            int((home[1] + dx + 18) % 36 - 18))
-                    for cluster in self._cells.get(cell, ()):
-                        if cluster.cluster_id in seen:
-                            continue
-                        seen.add(cluster.cluster_id)
-                        found.append((great_circle_miles(
-                            target.geo, cluster.geo), cluster))
-                        added = True
+                    seen.add(cluster.cluster_id)
+                    found.append((great_circle_miles(
+                        target.geo, cluster.geo), cluster))
+                    added = True
             # One ring beyond the first ring that filled the budget
             # guards the cell-boundary case.
             if len(found) >= self.k_nearest and ring >= 1:

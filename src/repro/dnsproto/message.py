@@ -1,10 +1,11 @@
 """DNS message framing: header, question, and record sections.
 
 Implements RFC 1035 message encode/decode with name compression plus
-EDNS0 via the OPT pseudo-record.  The in-memory transport still encodes
-every message to bytes and decodes on receipt, so protocol details
-(compression, ECS validation, truncation of malformed input) are
-exercised on every simulated query.
+EDNS0 via the OPT pseudo-record.  The in-memory transport encodes
+every query and response once, for exact byte accounting and UDP
+truncation, but hands the message objects over without decoding; the
+endpoints' wire entry points and the codec suites exercise decoding
+(compression, ECS validation, rejection of malformed input).
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ Three answer sources are provided:
   given the question and the ECS option (if any), return server IPs and
   an answer scope.
 
-The server is transport-facing: it decodes wire bytes, dispatches, and
-encodes responses, answering FORMERR/SERVFAIL instead of crashing on
-bad input.
+The server is transport-facing: it dispatches queries and encodes the
+responses (the encoded length decides UDP truncation), and its wire
+entry point decodes raw bytes first, answering FORMERR instead of
+crashing on bad input.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.dnsproto.name import normalize_name
 from repro.dnsproto.rdata import TXTRdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnsproto.wire import WireFormatError
+from repro.dnssrv.transport import Reply, encoded_reply
 from repro.net.ipv4 import format_ipv4
 from repro.obs import NOOP, Observability
 
@@ -164,27 +166,20 @@ class AuthoritativeServer:
     def recover(self) -> None:
         self.alive = True
 
-    def handle_query(self, wire: bytes, src_ip: int, now: float,
-                     tcp: bool = False) -> Optional[bytes]:
+    def handle_query(self, query: Message, src_ip: int, now: float,
+                     tcp: bool = False) -> Optional[Reply]:
+        """Answer one query: the response and its exact wire bytes."""
         if not self.alive:
             return None  # querier times out
-        self.queries_received += 1
-        if tcp:
-            self.tcp_queries += 1
+        self._admit(tcp)
         with self.obs.profiler.phase("dns.authoritative"), \
                 self.obs.tracer.span("authoritative",
                                      server=self.server_name) as span:
-            try:
-                query = Message.decode(wire)
-            except WireFormatError:
-                self.formerr_count += 1
-                span.set(rcode=int(Rcode.FORMERR))
-                return self._formerr(wire)
             if query.flags.qr or not query.questions:
                 self.formerr_count += 1
                 span.set(rcode=int(Rcode.FORMERR))
-                return make_response(query, rcode=Rcode.FORMERR,
-                                     authoritative=False).encode()
+                return encoded_reply(make_response(
+                    query, rcode=Rcode.FORMERR, authoritative=False))
             question = query.question
             source = self.zone_for(question.name)
             if source is None:
@@ -213,8 +208,27 @@ class AuthoritativeServer:
                 truncated.flags = Flags(
                     qr=True, aa=response.flags.aa, tc=True,
                     rd=query.flags.rd, rcode=Rcode.NOERROR)
-                return truncated.encode()
-            return encoded
+                return encoded_reply(truncated)
+            return response, encoded
+
+    def handle_wire(self, wire: bytes, src_ip: int, now: float,
+                    tcp: bool = False) -> Optional[bytes]:
+        """Wire entry point: decode, answer, return the reply bytes."""
+        try:
+            query = Message.decode(wire)
+        except WireFormatError:
+            if not self.alive:
+                return None
+            self._admit(tcp)
+            self.formerr_count += 1
+            return self._formerr(wire)
+        reply = self.handle_query(query, src_ip, now, tcp=tcp)
+        return None if reply is None else reply[1]
+
+    def _admit(self, tcp: bool) -> None:
+        self.queries_received += 1
+        if tcp:
+            self.tcp_queries += 1
 
     def _udp_limit(self, query: Message) -> int:
         if query.opt is not None:

@@ -35,7 +35,12 @@ from repro.dnsproto.rdata import CNAMERdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnsproto.wire import WireFormatError
 from repro.dnssrv.cache import EcsAwareCache
-from repro.dnssrv.transport import AuthorityDirectory, Network
+from repro.dnssrv.transport import (
+    AuthorityDirectory,
+    Network,
+    Reply,
+    encoded_reply,
+)
 from repro.net.ipv4 import Prefix, prefix_of
 from repro.obs import NOOP, NULL_SPAN, Observability
 
@@ -227,18 +232,14 @@ class RecursiveResolver:
             stale=any_stale,
         )
 
-    def handle_query(self, wire: bytes, src_ip: int, now: float,
-                     tcp: bool = False) -> Optional[bytes]:
-        """DNS endpoint interface for stub resolvers on the wire."""
+    def handle_query(self, query: Message, src_ip: int, now: float,
+                     tcp: bool = False) -> Optional[Reply]:
+        """DNS endpoint interface for stub resolvers on the network."""
         if not self.alive:
             return None  # blackout: the client's query times out
-        try:
-            query = Message.decode(wire)
-        except WireFormatError:
-            return None
         if not query.questions:
-            return make_response(query, rcode=Rcode.FORMERR,
-                                 authoritative=False).encode()
+            return encoded_reply(make_response(
+                query, rcode=Rcode.FORMERR, authoritative=False))
         question = query.question
         result = self.resolve(question.name, question.qtype, src_ip, now)
         response = make_response(query, answers=result.records,
@@ -246,7 +247,19 @@ class RecursiveResolver:
         response.flags = response.flags.__class__(
             qr=True, aa=False, rd=query.flags.rd, ra=True,
             rcode=result.rcode)
-        return response.encode()
+        return encoded_reply(response)
+
+    def handle_wire(self, wire: bytes, src_ip: int, now: float,
+                    tcp: bool = False) -> Optional[bytes]:
+        """Wire entry point: decode, resolve, return the reply bytes.
+
+        Undecodable input is dropped (the client times out)."""
+        try:
+            query = Message.decode(wire)
+        except WireFormatError:
+            return None
+        reply = self.handle_query(query, src_ip, now, tcp=tcp)
+        return None if reply is None else reply[1]
 
     # -- internals ----------------------------------------------------------
 

@@ -1,11 +1,15 @@
 """In-memory DNS transport with simulated latency.
 
-The :class:`Network` routes encoded DNS messages between registered
+The :class:`Network` routes DNS messages between registered
 endpoints.  Every hop pays the latency model's RTT for the two IPs
-involved (geolocated through the topology's geo database), and every
-message is round-tripped through the wire codec, so the protocol layer
-is exercised for real -- a resolver bug that produces malformed wire
-data surfaces as a FORMERR here, exactly as it would on the Internet.
+involved (geolocated through the topology's geo database).  Messages
+travel as :class:`~repro.dnsproto.message.Message` objects, since the
+transport never leaves memory; each hop still encodes the query once
+and the endpoint encodes its response once, so ``bytes_sent`` counts
+the exact wire sizes and UDP truncation is decided on real lengths.
+Nothing is decoded in flight.  Endpoints keep a ``handle_wire`` entry
+point for raw bytes (decode, answer, encode), which is where malformed
+input meets the codec and turns into FORMERR or a timeout.
 """
 
 from __future__ import annotations
@@ -20,6 +24,15 @@ from repro.net.ipv4 import format_ipv4
 from repro.net.latency import LatencyModel
 from repro.obs import NOOP, NULL_SPAN, Observability
 
+#: An endpoint's answer to one query: the response and the exact
+#: bytes it encoded for the wire.
+Reply = Tuple[Message, bytes]
+
+
+def encoded_reply(response: Message) -> Reply:
+    """``response`` paired with its wire encoding."""
+    return response, response.encode()
+
 
 class DnsEndpoint(Protocol):
     """Anything that can be registered on the network and answer DNS.
@@ -27,13 +40,17 @@ class DnsEndpoint(Protocol):
     ``tcp`` distinguishes the retry-over-TCP path (RFC 1035 4.2.2):
     servers apply UDP payload limits only when it is False.  Returning
     None models an unresponsive endpoint (the querier times out).
+    ``handle_wire`` is the same exchange over raw bytes.
     """
 
     @property
     def ip(self) -> int: ...
 
-    def handle_query(self, wire: bytes, src_ip: int, now: float,
-                     tcp: bool = False) -> Optional[bytes]: ...
+    def handle_query(self, query: Message, src_ip: int, now: float,
+                     tcp: bool = False) -> Optional[Reply]: ...
+
+    def handle_wire(self, wire: bytes, src_ip: int, now: float,
+                    tcp: bool = False) -> Optional[bytes]: ...
 
 
 class QuerySink(Protocol):
@@ -74,6 +91,8 @@ class HopResult:
     """The (already closed) trace span of this hop, so callers can
     annotate it after the fact -- e.g. the retry-timer penalty a
     recursive charges for a timeout."""
+    wire: Optional[bytes] = None
+    """The response exactly as the endpoint encoded it."""
 
 
 class Network:
@@ -166,9 +185,8 @@ class Network:
         if endpoint is None:
             raise KeyError(
                 f"no DNS endpoint at {format_ipv4(dst_ip)}")
-        wire = message.encode()
         self.queries_sent += 1
-        self.bytes_sent += len(wire)
+        self.bytes_sent += len(message.encode())
         for sink in self._sinks:
             sink.record_query(now, dst_ip, src_ip, message)
         rtt = self.rtt_ms(src_ip, dst_ip)
@@ -190,17 +208,18 @@ class Network:
                                   tcp=tcp) as hop:
             if lost:
                 self.packets_lost += 1
-                response_wire = None
+                reply = None
                 hop.set(lost=True)
             else:
-                response_wire = endpoint.handle_query(wire, src_ip, now,
-                                                      tcp=tcp)
-            hop.set(rtt_ms=rtt, timeout=response_wire is None)
-        if response_wire is None:
+                reply = endpoint.handle_query(message, src_ip, now,
+                                              tcp=tcp)
+            hop.set(rtt_ms=rtt, timeout=reply is None)
+        if reply is None:
             return HopResult(response=None, rtt_ms=rtt, span=hop)
+        response, response_wire = reply
         self.bytes_sent += len(response_wire)
-        return HopResult(response=Message.decode(response_wire),
-                         rtt_ms=rtt, span=hop)
+        return HopResult(response=response, rtt_ms=rtt, span=hop,
+                         wire=response_wire)
 
 
 class AuthorityDirectory:

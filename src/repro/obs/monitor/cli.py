@@ -24,7 +24,17 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from repro.obs.monitor.driver import RolloutMonitor
+from repro.obs.monitor.driver import RolloutMonitor, rollout_windows
+
+
+def _rollout_config(scale: str, seed: int,
+                    sessions_per_day: Optional[int]):
+    from repro.experiments.scales import get_scale
+
+    overrides = {"seed": seed}
+    if sessions_per_day is not None:
+        overrides["sessions_per_day"] = sessions_per_day
+    return dataclasses.replace(get_scale(scale).rollout, **overrides)
 
 
 def run_monitored_rollout(
@@ -36,13 +46,9 @@ def run_monitored_rollout(
     from repro.experiments.scales import get_scale
     from repro.api import build_world, run_rollout
 
-    spec = get_scale(scale)
-    overrides = {"seed": seed}
-    if sessions_per_day is not None:
-        overrides["sessions_per_day"] = sessions_per_day
-    config = dataclasses.replace(spec.rollout, **overrides)
-    world = build_world(spec.world)
+    config = _rollout_config(scale, seed, sessions_per_day)
     monitor = RolloutMonitor.for_config(config)
+    world = build_world(get_scale(scale).world)
     result = run_rollout(world, config, observer=monitor)
     return world, monitor, result
 
@@ -105,6 +111,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.sessions_per_day is not None and args.sessions_per_day < 1:
         parser.error("need at least one session per day")
+    first, end = rollout_windows(_rollout_config(
+        args.scale, args.seed, args.sessions_per_day))["before"]
+    if end <= first:
+        # The alert rules baseline on the pre-roll-out days.
+        print(f"error: scale {args.scale} has no days before the "
+              f"roll-out for the monitor to baseline on",
+              file=sys.stderr)
+        return 2
 
     print(f"running monitored roll-out (scale={args.scale}, "
           f"seed={args.seed})...", file=sys.stderr)

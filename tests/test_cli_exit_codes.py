@@ -109,6 +109,18 @@ class TestRolloutValidation:
         assert argv[0] in err
 
 
+class TestMonitorValidation:
+    def test_scale_without_a_baseline_window_exits_two(self):
+        # The large scale's one-day timeline starts the roll-out on
+        # day 0, leaving the alert rules nothing to baseline on.
+        code, _, err = _run(["monitor", "--scale", "large"])
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            "error: scale large has no days before the roll-out for "
+            "the monitor to baseline on")
+
+
 class TestExperimentRunFlags:
     """``experiment run`` owns the experiment flags; the four
     experiments with a top-level name are aliases of it."""

@@ -10,7 +10,10 @@ from repro.core import (
     Scorer,
     nearest_cluster,
 )
+from repro.api import build_world
 from repro.core.policies import MapTarget
+from repro.core.units.builders import build_units
+from repro.experiments.scales import get_scale
 from repro.net.geometry import great_circle_miles
 from repro.topology import InternetConfig, build_internet
 
@@ -33,6 +36,53 @@ def index(plan):
 
 def target_for(block):
     return MapTarget(geo=block.geo, asn=block.asn)
+
+
+def square_scan(plan, k_nearest, target):
+    """Reference ring search: scans the full (2r+1)^2 square of cells
+    per ring and keeps the perimeter, as the index did before it
+    walked only the perimeter."""
+    clusters = list(plan.clusters.values())
+    if len(clusters) <= k_nearest:
+        return clusters
+    cells = {}
+    for cluster in clusters:
+        cells.setdefault((int(cluster.geo.lat // 10.0),
+                          int(cluster.geo.lon // 10.0)), []).append(cluster)
+    home = (int(target.geo.lat // 10.0), int(target.geo.lon // 10.0))
+    found, seen = [], set()
+    for ring in range(19):
+        added = False
+        for dy in range(-ring, ring + 1):
+            for dx in range(-ring, ring + 1):
+                if max(abs(dy), abs(dx)) != ring:
+                    continue
+                cell = (home[0] + dy, int((home[1] + dx + 18) % 36 - 18))
+                for cluster in cells.get(cell, ()):
+                    if cluster.cluster_id not in seen:
+                        seen.add(cluster.cluster_id)
+                        found.append((great_circle_miles(
+                            target.geo, cluster.geo), cluster))
+                        added = True
+        if len(found) >= k_nearest and ring >= 1:
+            break
+        if not added and ring > 4 and found:
+            break
+    found.sort(key=lambda pair: (pair[0], pair[1].cluster_id))
+    out = [cluster for _d, cluster in found[:k_nearest]]
+    for cluster in clusters:
+        if cluster.asn == target.asn and cluster.cluster_id not in ids(out):
+            out.append(cluster)
+    return out
+
+
+def ids(clusters):
+    return [c.cluster_id for c in clusters]
+
+
+@pytest.fixture(scope="module", params=["tiny", "large"])
+def scale_world(request):
+    return build_world(get_scale(request.param).world)
 
 
 class TestCandidateIndex:
@@ -125,3 +175,64 @@ class TestLoadBalancerWithIndex:
         for cluster in candidates:
             for server in cluster.servers:
                 server.recover()
+
+
+class TestCandidateMemo:
+    """Candidates are discovered once per (location, AS) target and
+    served from a memo afterwards; the memo must never change an
+    answer."""
+
+    def _assert_memo_matches_cold(self, plan, targets):
+        warm = CandidateIndex(plan)
+        for target in targets:
+            warm.candidates(target)
+        for target in targets:
+            cold = CandidateIndex(plan).candidates(target)
+            assert ids(warm.candidates(target)) == ids(cold)
+            assert ids(cold) == ids(square_scan(plan, warm.k_nearest,
+                                                target))
+
+    def test_every_client_block(self, scale_world):
+        targets = [target_for(block)
+                   for block in scale_world.internet.blocks]
+        self._assert_memo_matches_cold(scale_world.deployments, targets)
+
+    def test_routing_aware_unit_targets(self, scale_world):
+        units = build_units("routing_aware", scale_world.internet)
+        targets = [MapTarget(geo=unit.centroid(),
+                             asn=unit.asn if unit.asn is not None else -1)
+                   for unit in units if unit.members]
+        assert targets
+        self._assert_memo_matches_cold(scale_world.deployments, targets)
+
+    def test_returned_list_is_the_callers(self, net, plan):
+        index = CandidateIndex(plan, k_nearest=8)
+        target = target_for(net.blocks[0])
+        first = index.candidates(target)
+        expected = ids(first)
+        first.clear()
+        again = index.candidates(target)
+        assert ids(again) == expected
+        again.reverse()
+        again.append(again[0])
+        assert ids(index.candidates(target)) == expected
+
+    def test_cluster_down_between_calls_is_filtered(self, net, plan):
+        index = CandidateIndex(plan, k_nearest=8)
+        scorer = Scorer(MeasurementService(net.geodb))
+        balancer = GlobalLoadBalancer(plan, scorer, candidate_index=index)
+        target = target_for(net.blocks[0])
+        best = balancer.rank_clusters(target)[0]
+        for server in best.servers:
+            server.fail()
+        try:
+            ranked = balancer.rank_clusters(target)
+            assert best not in ranked
+            assert ranked and all(c.alive for c in ranked)
+            # The memo still holds the dead cluster: liveness is the
+            # caller's filter, not part of the discovered candidates.
+            assert best in index.candidates(target)
+        finally:
+            for server in best.servers:
+                server.recover()
+        assert balancer.rank_clusters(target)[0] is best

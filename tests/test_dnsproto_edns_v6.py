@@ -101,7 +101,7 @@ class TestV6InMessages:
         server = AuthoritativeServer(1)
         server.attach_zone("cdn.example", zone)
         wire = self.make_message(make_option(56)).encode()
-        out = server.handle_query(wire, src_ip=42, now=0.0)
+        out = server.handle_wire(wire, src_ip=42, now=0.0)
         response = Message.decode(out)
         assert response.flags.rcode == Rcode.NOERROR
         assert response.answers

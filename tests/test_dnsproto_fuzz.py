@@ -83,7 +83,7 @@ class TestServerFuzz:
         server = AuthoritativeServer(1)
         server.attach_zone("cdn.example", StaticZone())
         server.attach_zone("whoami.cdn.example", WhoAmIZone())
-        out = server.handle_query(data, src_ip=42, now=0.0)
+        out = server.handle_wire(data, src_ip=42, now=0.0)
         # Either no reply (undecodable id) or a well-formed message.
         if out is not None:
             Message.decode(out)
@@ -96,6 +96,6 @@ class TestServerFuzz:
         server.attach_zone("cdn.example", StaticZone())
         data = bytearray(valid_wire())
         data[position % len(data)] = value
-        out = server.handle_query(bytes(data), src_ip=42, now=0.0)
+        out = server.handle_wire(bytes(data), src_ip=42, now=0.0)
         if out is not None:
             Message.decode(out)

@@ -194,7 +194,7 @@ class TestAuthoritativeServer:
 
     def test_formerr_on_garbage(self, world):
         server = AuthoritativeServer(AUTH_NYC)
-        out = server.handle_query(b"\x00\x07garbage-not-dns", CLIENT_NYC, 0)
+        out = server.handle_wire(b"\x00\x07garbage-not-dns", CLIENT_NYC, 0)
         assert out is not None
         assert server.formerr_count == 1
 

@@ -60,7 +60,8 @@ class TestBenchSchema:
 
     def test_paired_benches_produce_speedups(self, payload):
         assert set(payload["speedups"]) == {
-            "micro/haversine_matrix", "micro/peering_penalty"}
+            "micro/haversine_matrix", "micro/peering_penalty",
+            "micro/candidates", "micro/dns_hop"}
         for base, speedup in payload["speedups"].items():
             assert speedup > 0, base
 

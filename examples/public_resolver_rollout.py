@@ -11,7 +11,7 @@ Run:  python examples/public_resolver_rollout.py
 
 import datetime
 
-from repro.api import build_world, run_rollout
+from repro.api import ScenarioSpec, run
 from repro.simulation import RolloutConfig, WorldConfig
 
 METRICS = (
@@ -27,8 +27,6 @@ def mean(values):
 
 
 def main():
-    print("Building the world...")
-    world = build_world(WorldConfig.tiny())
     config = RolloutConfig(
         start_date=datetime.date(2014, 3, 1),
         end_date=datetime.date(2014, 4, 30),
@@ -38,7 +36,8 @@ def main():
     )
     print(f"Replaying {config.n_days} days; ECS roll-out "
           f"{config.rollout_start} .. {config.rollout_end}...")
-    result = run_rollout(world, config)
+    result = run(ScenarioSpec(world=WorldConfig.tiny(), rollout=config,
+                              monitor=False)).result
     print(f"  {len(result.rum)} RUM beacons collected")
     print(f"  high-expectation countries: "
           f"{', '.join(result.high_expectation_countries) or '(none)'}\n")

@@ -20,7 +20,9 @@ Exit-code contract (pinned by ``tests/test_cli_exit_codes.py``):
   acceptance miss, a soak invariant violation, a nondeterministic
   replay.
 * ``2`` -- usage errors: bare ``python -m repro``, an unknown
-  subcommand, or bad flags (argparse's own convention).
+  subcommand, bad flags (argparse's own convention), or a scenario
+  the chosen scale cannot run (``monitor`` and ``experiment run`` map
+  :class:`repro.api.ScenarioSpecError` to one ``error:`` line).
 
 ``degradation``, ``load_tradeoff``, ``unit_scaling`` and
 ``resolver_matrix`` are aliases of ``experiment run <id>``.

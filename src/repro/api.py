@@ -12,10 +12,15 @@ the monitoring options, and :func:`run` executes the whole scenario:
     spec = ScenarioSpec(world=WorldConfig.tiny())
     outcome = run(spec)
     outcome.result        # RolloutResult
+    outcome.world         # the live world the run drove
     outcome.report()      # the monitor's deterministic report
 
-The lower-level :func:`build_world` / :func:`run_rollout` here drive
-one live world through the serial engine.
+:func:`run` is the only way a roll-out starts.  Every scenario world
+is built from its spec by one function, :func:`_world_for`, which the
+serial engine here and every shard worker of :mod:`repro.parallel`
+call.  :func:`build_world` builds a bare world for the tools that
+drive one directly (DNS-load runs, status reports, the benchmark's
+set-up timing).
 
 :func:`run` accepts ``workers=N`` to execute through the sharded
 multi-process engine (:mod:`repro.parallel`): the client population
@@ -49,7 +54,7 @@ from repro.obs.monitor.driver import (
 from repro.simulation.rollout import (
     RolloutConfig,
     RolloutResult,
-    _run_rollout,
+    run_days,
 )
 from repro.simulation.world import World, WorldConfig, _build_world
 from repro.topology.internet import InternetConfig
@@ -59,10 +64,16 @@ from repro.topology.traffic import TrafficSchedule
 __all__ = [
     "ScenarioRun",
     "ScenarioSpec",
+    "ScenarioSpecError",
     "build_world",
     "run",
-    "run_rollout",
 ]
+
+
+class ScenarioSpecError(ValueError):
+    """A spec that cannot run as written, raised when it is built.
+
+    The CLIs map it to a one-line ``error: ...`` and exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -118,11 +129,19 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.unit_scheme is not None:
             if self.control_plane is None:
-                raise ValueError(
+                raise ScenarioSpecError(
                     "unit_scheme requires a control plane: units only "
                     "exist in the published map (set control_plane)")
             from repro.core.units import parse_unit_scheme
             parse_unit_scheme(self.unit_scheme)
+        if self.monitor and self.monitor_rules is None:
+            first, end = rollout_windows(self.rollout)["before"]
+            if end <= first:
+                # The default alert rules baseline on these days.
+                raise ScenarioSpecError(
+                    "the roll-out has no days before its window for "
+                    "the monitor to baseline on (monitor=False runs "
+                    "it unmonitored)")
 
     def describe(self) -> Dict:
         """Deterministic scenario metadata for monitor reports."""
@@ -386,6 +405,20 @@ def _resolver_policies_for(spec: ScenarioSpec
     return None
 
 
+def _world_for(spec: ScenarioSpec, *, load_scale: float = 1.0,
+               profiler: Optional[PhaseProfiler] = None) -> World:
+    """The world a spec runs on, built fresh (the serial engine and
+    every shard worker call this; ``load_scale`` is a shard worker's
+    shard count, ``profiler`` the run's phase profiler)."""
+    return _build_world(config=spec.world, policy=spec.policy,
+                        control_plane=spec.control_plane,
+                        unit_scheme=spec.unit_scheme,
+                        load_feedback=spec.load_feedback,
+                        load_scale=load_scale,
+                        profiler=profiler,
+                        resolver_policies=_resolver_policies_for(spec))
+
+
 def _monitor_for_spec(spec: ScenarioSpec) -> RolloutMonitor:
     """The monitor a spec asks for (shared with the sharded engine,
     so a replayed monitor evaluates the same rule set)."""
@@ -402,21 +435,6 @@ def _monitor_for_spec(spec: ScenarioSpec) -> RolloutMonitor:
             rules = (default_rollout_rules(
                 rollout_windows(spec.rollout)) + extra)
     return RolloutMonitor.for_config(spec.rollout, rules=rules)
-
-
-def run_rollout(world: World,
-                config: Optional[RolloutConfig] = None,
-                observer=None,
-                injector: Optional[FaultInjector] = None,
-                ) -> RolloutResult:
-    """Drive the roll-out timeline over a live world (serial engine).
-
-    For a sharded run, compose a :class:`ScenarioSpec` and call
-    :func:`run` with ``workers=N``: shard workers rebuild their worlds
-    from the spec, so a live world cannot cross into them.
-    """
-    return _run_rollout(world, config=config, observer=observer,
-                        injector=injector)
 
 
 def run(spec: Optional[ScenarioSpec] = None,
@@ -438,18 +456,18 @@ def run(spec: Optional[ScenarioSpec] = None,
         raise ValueError("shards=N requires workers=N")
     profiler = (PhaseProfiler(config=spec.profile)
                 if spec.profile is not None else None)
-    world = _build_world(config=spec.world, policy=spec.policy,
-                         control_plane=spec.control_plane,
-                         unit_scheme=spec.unit_scheme,
-                         load_feedback=spec.load_feedback,
-                         profiler=profiler,
-                         resolver_policies=_resolver_policies_for(spec))
+    world = _world_for(spec, profiler=profiler)
     injector = (FaultInjector(world, spec.faults)
                 if spec.faults else None)
     monitor = _monitor_for_spec(spec) if spec.monitor else None
-    result = _run_rollout(world, config=spec.rollout, observer=monitor,
-                          injector=injector,
-                          traffic=spec.traffic if spec.traffic else None)
+    on_day = None
+    if monitor is not None:
+        def on_day(day: int, world: World, result: RolloutResult) -> None:
+            with world.obs.profiler.phase("monitor.observe"):
+                monitor.on_day(day, world, result)
+
+    result = run_days(world, spec.rollout, injector=injector,
+                      traffic=spec.traffic, on_day=on_day)
     return ScenarioRun(spec=spec, world=world, result=result,
                        monitor=monitor, injector=injector,
                        profiler=profiler)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Protocol
 
@@ -108,6 +110,34 @@ def render_result(result: ExperimentResult) -> str:
 def ratio(numerator: float, denominator: float) -> float:
     """Safe ratio for summaries (0 when denominator is 0)."""
     return numerator / denominator if denominator else 0.0
+
+
+def shard_digests(spec, *per_day: str) -> Dict[int, str]:
+    """sha256 of ``spec``'s merged observable state through the sharded
+    engine at 1 and 4 workers, keyed by worker count.
+
+    The state is the merged registry snapshot, the beacon count, and
+    ``sessions_per_day`` plus the further per-day tallies of the
+    :class:`~repro.simulation.rollout.RolloutResult` named in
+    ``per_day``.  Equal digests pin an experiment's scenario into the
+    worker-count determinism contract.
+    """
+    from repro.api import run
+
+    digests = {}
+    for workers in (1, 4):
+        outcome = run(spec, workers=workers)
+        payload: Dict[str, Any] = {
+            "snapshot": outcome.registry.snapshot(),
+            "beacons": len(outcome.result.rum),
+        }
+        for name in ("sessions_per_day",) + per_day:
+            payload[name] = {
+                str(day): count for day, count
+                in sorted(getattr(outcome.result, name).items())}
+        text = json.dumps(payload, sort_keys=True)
+        digests[workers] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
 
 
 RunFn = Callable[[str], ExperimentResult]

@@ -12,7 +12,8 @@ Usage::
 them (``degradation``, ``load_tradeoff``, ``unit_scaling``,
 ``resolver_matrix``); giving one to any other experiment is a usage
 error.  Exit status is 1 if any executed experiment's shape checks
-fail, 2 on usage errors.
+fail, 2 on usage errors -- including a scenario the scale cannot run
+(:class:`repro.api.ScenarioSpecError`).
 """
 
 from __future__ import annotations
@@ -170,14 +171,21 @@ def main(argv: List[str] | None = None) -> int:
         if problem is not None:
             print(f"error: {problem}", file=sys.stderr)
             return 2
-        if args.out is None:
-            results = _run_ids(ids, args.scale, fmt=args.format,
-                               **overrides)
-        else:
-            with open(args.out, "w") as handle:
-                results = _run_ids(ids, args.scale, out=handle,
-                                   fmt=args.format, **overrides)
-            print(f"wrote {args.out}", file=sys.stderr)
+        from repro.api import ScenarioSpecError
+
+        try:
+            if args.out is None:
+                results = _run_ids(ids, args.scale, fmt=args.format,
+                                   **overrides)
+            else:
+                with open(args.out, "w") as handle:
+                    results = _run_ids(ids, args.scale, out=handle,
+                                       fmt=args.format, **overrides)
+                print(f"wrote {args.out}", file=sys.stderr)
+        except ScenarioSpecError as exc:
+            print(f"error: {args.experiment} at scale {args.scale}: "
+                  f"{exc}", file=sys.stderr)
+            return 2
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "report":

@@ -25,19 +25,15 @@ contract.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import replace
 from typing import Any, Dict, Optional
 
-from repro.api import ScenarioSpec
-from repro.api import run as run_scenario
+from repro.api import ScenarioSpec, _world_for
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
-from repro.experiments.base import ExperimentResult, ratio
+from repro.experiments.base import ExperimentResult, ratio, shard_digests
 from repro.experiments.scales import get_scale
-from repro.simulation.rollout import RolloutConfig, _run_rollout
-from repro.simulation.world import _build_world
+from repro.simulation.rollout import RolloutConfig, run_days
 from repro.topology.traffic import TrafficSchedule, TrafficShape
 
 EXPERIMENT_ID = "load_tradeoff"
@@ -130,17 +126,15 @@ def _spec_for(arm: str, scale: str, sessions: int,
 def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     """One serial arm with the utilization probe attached.
 
-    Goes through the private world/rollout helpers rather than
-    :func:`repro.api.run` because the probe needs the observer slot
-    (which ``run`` reserves for the monitor); observation never
+    Drives the day loop itself rather than :func:`repro.api.run`
+    because the probe reads the live world at the end of every day,
+    which ``run`` has no hook for; the loop's ``on_day`` never
     perturbs the run, so both arms replay their spec exactly.
     """
-    world = _build_world(config=spec.world,
-                         control_plane=spec.control_plane,
-                         load_feedback=spec.load_feedback)
+    world = _world_for(spec)
     probe = _UtilizationProbe()
-    result = _run_rollout(world, config=spec.rollout, observer=probe,
-                          traffic=spec.traffic if spec.traffic else None)
+    result = run_days(world, spec.rollout, traffic=spec.traffic,
+                      on_day=probe.on_day)
     snap = world.obs.registry.snapshot()
     sessions = sum(result.sessions_per_day.values())
     surge_end = SURGE_START + SURGE_DAYS
@@ -155,19 +149,6 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
         "demoted_share": snap["gauges"].get(
             "mapping.load_demoted_share", 0.0),
     }
-
-
-def _digest(run) -> str:
-    """Canonical digest of a sharded run's merged observable state."""
-    payload = {
-        "snapshot": run.registry.snapshot(),
-        "sessions_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.sessions_per_day.items())},
-        "beacons": len(run.result.rum),
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(scale: str, sessions: Optional[int] = None,
@@ -195,9 +176,7 @@ def run(scale: str, sessions: Optional[int] = None,
 
     # -- determinism: the load-aware spec through the sharded engine --
     aware_spec = _spec_for(LOAD_AWARE, scale, sessions, seed)
-    digests = {workers: _digest(run_scenario(aware_spec,
-                                             workers=workers))
-               for workers in (1, 4)}
+    digests = shard_digests(aware_spec)
 
     # -- checks -----------------------------------------------------------
 

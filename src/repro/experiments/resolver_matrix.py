@@ -28,13 +28,11 @@ engine with 1 and 4 workers, requiring byte-identical merged state.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import ScenarioSpec
 from repro.api import run as run_scenario
-from repro.experiments.base import ExperimentResult, ratio
+from repro.experiments.base import ExperimentResult, ratio, shard_digests
 from repro.experiments.scales import get_scale
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.chaos import world_restored
@@ -161,22 +159,6 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     }
 
 
-def _digest(run) -> str:
-    """Canonical digest of a sharded run's merged observable state."""
-    payload = {
-        "snapshot": run.registry.snapshot(),
-        "sessions_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.sessions_per_day.items())},
-        "catchment_shifted_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.catchment_shifted_per_day.items())},
-        "beacons": len(run.result.rum),
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def run(scale: str, sessions: Optional[int] = None,
         seed: Optional[int] = None) -> ExperimentResult:
     if sessions is None:
@@ -238,9 +220,7 @@ def run(scale: str, sessions: Optional[int] = None,
     outage_spec = spec_for(
         _policy_set(world_config, whitelist=True, ceiling=32),
         faults=outage_schedule)
-    digests = {workers: _digest(run_scenario(outage_spec,
-                                             workers=workers))
-               for workers in (1, 4)}
+    digests = shard_digests(outage_spec, "catchment_shifted_per_day")
 
     # -- checks -----------------------------------------------------------
 

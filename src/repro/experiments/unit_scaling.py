@@ -25,17 +25,14 @@ and 4 workers and requires byte-identical merged state.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, Optional
 
 from repro.api import ScenarioSpec
 from repro.api import run as run_scenario
 from repro.core.mapmaker import MapMakerConfig, TIERS, UNIT_TIERS
-from repro.experiments.base import ExperimentResult, ratio
+from repro.experiments.base import ExperimentResult, ratio, shard_digests
 from repro.experiments.scales import get_scale
-from repro.simulation.rollout import RolloutConfig, _run_rollout
-from repro.simulation.world import _build_world
+from repro.simulation.rollout import RolloutConfig
 
 EXPERIMENT_ID = "unit_scaling"
 TITLE = "Unit count vs mapping accuracy vs query rate, per scheme"
@@ -88,10 +85,8 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     granularity shows there -- the all-session medians are dominated
     by the NS-tier path every scheme shares.
     """
-    world = _build_world(config=spec.world,
-                         control_plane=spec.control_plane,
-                         unit_scheme=spec.unit_scheme)
-    result = _run_rollout(world, config=spec.rollout)
+    outcome = run_scenario(spec)
+    world, result = outcome.world, outcome.result
     snap = world.obs.registry.snapshot()
     counters = snap["counters"]
     sessions = sum(result.sessions_per_day.values())
@@ -123,19 +118,6 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
             "units.cohesion_miles_mean", 0.0),
         "sessions": sessions,
     }
-
-
-def _digest(run) -> str:
-    """Canonical digest of a sharded run's merged observable state."""
-    payload = {
-        "snapshot": run.registry.snapshot(),
-        "sessions_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.sessions_per_day.items())},
-        "beacons": len(run.result.rum),
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(scale: str, sessions: Optional[int] = None,
@@ -176,9 +158,7 @@ def run(scale: str, sessions: Optional[int] = None,
 
     # -- determinism: the routing-aware spec through the sharded engine --
     routing_spec = _spec_for(routing_scheme, scale, sessions, seed)
-    digests = {workers: _digest(run_scenario(routing_spec,
-                                             workers=workers))
-               for workers in (1, 4)}
+    digests = shard_digests(routing_spec)
 
     # -- checks -----------------------------------------------------------
 

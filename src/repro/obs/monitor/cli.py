@@ -1,14 +1,15 @@
-"""``python -m repro.obs.monitor`` -- monitored roll-out report.
+"""``python -m repro monitor`` -- monitored roll-out report.
 
-Drives the seeded Section 4 roll-out scenario with a
-:class:`~repro.obs.monitor.driver.RolloutMonitor` attached and emits
-the deterministic ``{series, cohorts, alerts}`` report.
+Runs the seeded Section 4 roll-out scenario of a scale through
+:func:`repro.api.run` with the monitor on and emits the
+:class:`~repro.obs.monitor.driver.RolloutMonitor`'s deterministic
+``{series, cohorts, alerts}`` report.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.monitor --seed 7 --format json
-    PYTHONPATH=src python -m repro.obs.monitor --format text
-    PYTHONPATH=src python -m repro.obs.monitor --sessions-per-day 40 \
+    PYTHONPATH=src python -m repro monitor --seed 7 --format json
+    PYTHONPATH=src python -m repro monitor --format text
+    PYTHONPATH=src python -m repro monitor --sessions-per-day 40 \
         --out monitor_report.json
 
 Two runs with the same arguments produce byte-identical output; the
@@ -22,35 +23,26 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import List, Optional, Tuple
-
-from repro.obs.monitor.driver import RolloutMonitor, rollout_windows
+from typing import List, Optional
 
 
-def _rollout_config(scale: str, seed: int,
-                    sessions_per_day: Optional[int]):
+def scenario_spec(scale: str, seed: int,
+                  sessions_per_day: Optional[int] = None):
+    """The monitored roll-out of a scale as a
+    :class:`~repro.api.ScenarioSpec` (raises
+    :class:`~repro.api.ScenarioSpecError` when the scale's timeline
+    leaves the monitor no days to baseline on)."""
+    from repro.api import ScenarioSpec
     from repro.experiments.scales import get_scale
 
+    scale_spec = get_scale(scale)
     overrides = {"seed": seed}
     if sessions_per_day is not None:
         overrides["sessions_per_day"] = sessions_per_day
-    return dataclasses.replace(get_scale(scale).rollout, **overrides)
-
-
-def run_monitored_rollout(
-    scale: str = "tiny",
-    seed: int = 7,
-    sessions_per_day: Optional[int] = None,
-) -> Tuple["World", RolloutMonitor, "RolloutResult"]:
-    """Build a world and run the scale's roll-out under a monitor."""
-    from repro.experiments.scales import get_scale
-    from repro.api import build_world, run_rollout
-
-    config = _rollout_config(scale, seed, sessions_per_day)
-    monitor = RolloutMonitor.for_config(config)
-    world = build_world(get_scale(scale).world)
-    result = run_rollout(world, config, observer=monitor)
-    return world, monitor, result
+    return ScenarioSpec(
+        world=scale_spec.world,
+        rollout=dataclasses.replace(scale_spec.rollout, **overrides),
+        monitor=True)
 
 
 def render_text(report: dict) -> str:
@@ -111,10 +103,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.sessions_per_day is not None and args.sessions_per_day < 1:
         parser.error("need at least one session per day")
-    first, end = rollout_windows(_rollout_config(
-        args.scale, args.seed, args.sessions_per_day))["before"]
-    if end <= first:
-        # The alert rules baseline on the pre-roll-out days.
+
+    from repro.api import ScenarioSpecError, run
+
+    try:
+        spec = scenario_spec(args.scale, args.seed,
+                             args.sessions_per_day)
+    except ScenarioSpecError:
+        # The only spec error a scale can raise here: its timeline
+        # opens on the roll-out, leaving the alert rules no baseline.
         print(f"error: scale {args.scale} has no days before the "
               f"roll-out for the monitor to baseline on",
               file=sys.stderr)
@@ -122,15 +119,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"running monitored roll-out (scale={args.scale}, "
           f"seed={args.seed})...", file=sys.stderr)
-    world, monitor, result = run_monitored_rollout(
-        scale=args.scale, seed=args.seed,
-        sessions_per_day=args.sessions_per_day)
-    scenario = {
+    report = run(spec).report({
         "scale": args.scale,
         "seed": args.seed,
-        "sessions_per_day": result.config.sessions_per_day,
-    }
-    report = monitor.report(scenario)
+        "sessions_per_day": spec.rollout.sessions_per_day,
+    })
 
     if args.format == "text":
         text = render_text(report)

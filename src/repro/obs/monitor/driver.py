@@ -1,9 +1,8 @@
 """Roll-out monitor: observes a roll-out day by day.
 
-:class:`RolloutMonitor` is the object you hand to
-:func:`repro.api.run_rollout` as ``observer`` (or that
-:func:`repro.api.run` attaches from a spec); once per simulated day
-it
+:class:`RolloutMonitor` is the object :func:`repro.api.run` attaches
+when ``spec.monitor`` is on; once per simulated day (live in the
+serial engine, replayed over merged registries in the sharded one) it
 
 1. ingests the day's RUM beacons into a
    :class:`~repro.obs.monitor.cohorts.CohortComparator` (the paper's

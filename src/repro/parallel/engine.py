@@ -8,8 +8,9 @@ population* of one :class:`~repro.api.ScenarioSpec` into ``K`` closed
 sub-worlds (:mod:`repro.parallel.plan`) and executes them on up to
 ``N`` processes.  Each shard worker
 
-1. rebuilds the **full** world from the spec -- worlds are pure
-   functions of their seeds, so infrastructure (clusters, name
+1. rebuilds the **full** world from the spec through
+   :func:`repro.api._world_for`, as the serial engine does -- worlds
+   are pure functions of their seeds, so infrastructure (clusters, name
    servers, LDNS fleet, fault schedule, control plane) is replicated
    identically in every shard;
 2. runs the one day loop, :func:`repro.simulation.rollout.run_days`,
@@ -93,22 +94,16 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     # Imported here, not at module top: ``repro.api`` reaches into
     # this package (lazily), and function-scope imports keep the edge
     # acyclic in both directions.
-    from repro.api import _resolver_policies_for
+    from repro.api import _world_for
     from repro.faults import FaultInjector
-    from repro.simulation.world import _build_world
 
     profiler = (PhaseProfiler(config=spec.profile)
                 if spec.profile is not None else None)
     # Each worker sees 1/n_shards of the demand, so observed load
     # scales back up by n_shards to keep the utilization signal (and
     # hence scoring penalties) aligned across worker counts.
-    world = _build_world(config=spec.world, policy=spec.policy,
-                         control_plane=spec.control_plane,
-                         unit_scheme=spec.unit_scheme,
-                         load_feedback=spec.load_feedback,
-                         load_scale=float(n_shards),
-                         profiler=profiler,
-                         resolver_policies=_resolver_policies_for(spec))
+    world = _world_for(spec, load_scale=float(n_shards),
+                       profiler=profiler)
     registry = world.obs.registry
     day_registries: Dict[int, MetricsRegistry] = {}
 

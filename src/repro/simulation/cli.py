@@ -21,7 +21,7 @@ from typing import List
 from repro.core.reporting import build_status_report
 from repro.experiments.scales import get_scale, scale_names
 from repro.simulation.dnsload import DnsLoadConfig, drive_dns_load
-from repro.api import build_world, run_rollout
+from repro.api import ScenarioSpec, build_world, run
 from repro.simulation.rollout import RolloutConfig
 
 
@@ -161,42 +161,26 @@ def _cmd_rollout(args) -> int:
         from repro.core.mapmaker import MapMakerConfig
 
         control_plane = MapMakerConfig()
-    traffic = args.traffic
-    outcome = None
-    if args.workers is not None or traffic is not None \
-            or load_feedback is not None or args.profile is not None \
-            or control_plane is not None \
-            or args.resolver_faults is not None:
-        # Scenario route: surge traffic, load feedback, the control
-        # plane, resolver faults, and profiling are spec features, so
-        # any of them (or --workers, which only sizes the pool --
-        # --workers 1 and --workers 8 print identical reports) goes
-        # through ScenarioSpec + run().
-        from repro.api import ScenarioSpec, run
-        from repro.experiments.scales import get_scale
-        from repro.faults import FaultSchedule
-        from repro.topology.traffic import TrafficSchedule
+    from repro.faults import FaultSchedule
+    from repro.topology.traffic import TrafficSchedule
 
-        spec = ScenarioSpec(world=get_scale(args.scale).world,
-                            rollout=config, monitor=False,
-                            traffic=traffic or TrafficSchedule(),
-                            load_feedback=load_feedback,
-                            control_plane=control_plane,
-                            unit_scheme=args.unit_scheme,
-                            profile=args.profile,
-                            faults=(args.resolver_faults
-                                    or FaultSchedule()))
-        if args.workers is not None:
-            print(f"running {args.shards} shards on {args.workers} "
-                  f"worker(s)...", file=sys.stderr)
-            outcome = run(spec, workers=args.workers,
-                          shards=args.shards)
-        else:
-            outcome = run(spec)
-        result = outcome.result
+    spec = ScenarioSpec(world=get_scale(args.scale).world,
+                        rollout=config, monitor=False,
+                        traffic=args.traffic or TrafficSchedule(),
+                        load_feedback=load_feedback,
+                        control_plane=control_plane,
+                        unit_scheme=args.unit_scheme,
+                        profile=args.profile,
+                        faults=args.resolver_faults or FaultSchedule())
+    if args.workers is not None:
+        # --workers only sizes the pool: --workers 1 and --workers 8
+        # print identical reports.
+        print(f"running {args.shards} shards on {args.workers} "
+              f"worker(s)...", file=sys.stderr)
+        outcome = run(spec, workers=args.workers, shards=args.shards)
     else:
-        world = _build(args.scale)
-        result = run_rollout(world, config)
+        outcome = run(spec)
+    result = outcome.result
     print(f"{len(result.rum)} RUM beacons over {config.n_days} days")
     if args.resolver_faults is not None:
         shifted = sum(result.catchment_shifted_per_day.values())
@@ -212,7 +196,7 @@ def _cmd_rollout(args) -> int:
         mean_a = sum(after) / len(after) if after else float("nan")
         print(f"  {metric:<26} {mean_b:10.1f} -> {mean_a:10.1f} "
               f"({mean_b / mean_a if mean_a else 0:5.2f}x)")
-    if outcome is not None and outcome.profiler is not None:
+    if outcome.profiler is not None:
         from repro.obs.profile import hotspot_rows, render_hotspot_table
 
         print()

@@ -166,41 +166,9 @@ def classify_expectation_groups(
         {b.prefix: b.country for b in world.internet.blocks})
 
 
-def _run_rollout(world: World,
-                 config: Optional[RolloutConfig] = None,
-                 observer=None,
-                 injector=None,
-                 traffic: Optional[TrafficSchedule] = None) -> RolloutResult:
-    """Run the full roll-out timeline against a world (serial engine).
-
-    The serial engine is the one-shard plan of :func:`run_days`, drawn
-    from the legacy global stream ``random.Random(config.seed)``.
-
-    ``observer`` is an optional monitoring hook -- any object with an
-    ``on_day(day, world, result)`` method (e.g.
-    :class:`repro.obs.monitor.RolloutMonitor`), called after each
-    simulated day completes.  Observation must not perturb the run:
-    the observer receives no RNG and every random draw happens before
-    it is invoked, so a monitored and an unmonitored roll-out replay
-    identically.
-    """
-    config = config or RolloutConfig()
-    on_day = None
-    if observer is not None:
-        profiler = world.obs.profiler
-
-        def on_day(day: int, world: World, result: RolloutResult) -> None:
-            with profiler.phase("monitor.observe"):
-                observer.on_day(day, world, result)
-
-    return run_days(world, config, rng=random.Random(config.seed),
-                    plan=plan_shards(world.internet, 1),
-                    injector=injector, traffic=traffic, on_day=on_day)
-
-
 def run_days(world: World, config: RolloutConfig, *,
-             rng: random.Random,
-             plan: ShardPlan,
+             rng: Optional[random.Random] = None,
+             plan: Optional[ShardPlan] = None,
              shard: int = 0,
              injector=None,
              traffic: Optional[TrafficSchedule] = None,
@@ -218,7 +186,9 @@ def run_days(world: World, config: RolloutConfig, *,
     partitioned.  A one-shard plan reproduces the legacy global draw
     sequence exactly: its block pick is the same bisect over the same
     running demand sum as :meth:`Internet.pick_block`, and its quota
-    is the whole day.
+    is the whole day.  That is the serial engine, and the defaults:
+    ``rng`` is the legacy global stream ``random.Random(config.seed)``
+    and ``plan`` the one-shard plan.
 
     ``injector`` is an optional :class:`repro.faults.FaultInjector`
     stepped at the top of each day, before any session runs, so a
@@ -231,10 +201,18 @@ def run_days(world: World, config: RolloutConfig, *,
     picks flow through a :class:`~repro.topology.traffic.DayTraffic`
     view.  An empty/None schedule replays the legacy draws bit-for-bit.
 
+    ``on_day`` gets no RNG and runs after every draw of its day, so an
+    observed run (the monitor, a per-day probe) replays an unobserved
+    one exactly.
+
     ``keep_beacons`` / ``pair_tracking`` let bench runs drop the RUM
     beacon list and the query log's pair rows, which dominate memory
     at millions of sessions without changing any counter.
     """
+    if rng is None:
+        rng = random.Random(config.seed)
+    if plan is None:
+        plan = plan_shards(world.internet, 1)
     profiler = world.obs.profiler
     with profiler.phase("rollout.classify"):
         medians = classify_expectation_groups(world)

@@ -8,9 +8,13 @@ Pins the API-redesign contracts:
   the legacy ``python -m repro.<module>`` spellings keep working with a
   stderr pointer while their stdout stays byte-identical;
 * importing :mod:`repro.api` never loads the sharded engine or its
-  process pool.
+  process pool;
+* :func:`repro.api.run` is the only roll-out entry point: one function
+  builds a scenario's world, and the day loop has a fixed set of
+  callers.
 """
 
+import ast
 import datetime
 import json
 import subprocess
@@ -20,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro.__main__ as repro_main
-from repro.api import ScenarioSpec, run
+from repro.api import ScenarioSpec, ScenarioSpecError, run
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
@@ -62,6 +66,72 @@ class TestScenarioSpec:
         assert len(outcome.result.rum) > 0
         with pytest.raises(ValueError):
             outcome.report()
+
+
+    def test_monitor_needs_days_before_the_rollout(self):
+        """A timeline that opens on the roll-out leaves the monitor's
+        rules no baseline: the spec refuses it when built, not after
+        every day (or every shard) has run."""
+        one_day = RolloutConfig(
+            start_date=datetime.date(2014, 3, 1),
+            end_date=datetime.date(2014, 3, 1),
+            rollout_start=datetime.date(2014, 3, 1),
+            rollout_end=datetime.date(2014, 3, 1),
+            sessions_per_day=5)
+        with pytest.raises(ScenarioSpecError, match="baseline"):
+            ScenarioSpec(world=WorldConfig.tiny(), rollout=one_day)
+        spec = ScenarioSpec(world=WorldConfig.tiny(), rollout=one_day,
+                            monitor=False)
+        assert not spec.monitor
+        ScenarioSpec(world=WorldConfig.tiny(), rollout=one_day,
+                     monitor_rules=[])
+
+
+class TestSingleEntryPoint:
+    """One spec-to-world function and one roll-out entry point.  A
+    third runner growing back (a private world build or a second day
+    loop caller) fails here."""
+
+    @staticmethod
+    def _callers(name):
+        """(module, innermost enclosing function) of every call to
+        ``name`` in ``src/repro``."""
+        callers = set()
+        root = REPO_ROOT / "src"
+        for path in sorted((root / "repro").rglob("*.py")):
+            module = ".".join(path.relative_to(root).with_suffix("")
+                              .parts)
+
+            def visit(node, function):
+                if isinstance(node, (ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    function = node.name
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = (func.id if isinstance(func, ast.Name)
+                              else getattr(func, "attr", None))
+                    if called == name:
+                        callers.add((module, function))
+                for child in ast.iter_child_nodes(node):
+                    visit(child, function)
+
+            visit(ast.parse(path.read_text()), None)
+        return callers
+
+    def test_worlds_are_built_only_by_the_api(self):
+        assert self._callers("_build_world") == {
+            ("repro.api", "build_world"),
+            ("repro.api", "_world_for"),
+        }
+
+    def test_the_day_loop_has_three_callers(self):
+        """The serial engine, the shard worker, and the one experiment
+        whose per-day probe reads the live world."""
+        assert self._callers("run_days") == {
+            ("repro.api", "run"),
+            ("repro.parallel.engine", "_shard_worker"),
+            ("repro.experiments.load_tradeoff", "_run_arm"),
+        }
 
 
 class TestUnifiedCli:

@@ -121,6 +121,20 @@ class TestMonitorValidation:
             "the monitor to baseline on")
 
 
+class TestScenarioSpecErrors:
+    def test_experiment_at_a_scale_without_a_baseline_exits_two(self):
+        # Degradation runs monitored scenarios; the large scale's
+        # one-day timeline leaves the monitor nothing to baseline on,
+        # which the spec refuses before anything runs.
+        code, _, err = _run(["degradation", "--scale", "large",
+                             "--sessions", "5"])
+        assert code == 2
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error: degradation at scale large: ")
+        assert "baseline" in last
+
+
 class TestExperimentRunFlags:
     """``experiment run`` owns the experiment flags; the four
     experiments with a top-level name are aliases of it."""

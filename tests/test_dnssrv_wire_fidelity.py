@@ -15,14 +15,14 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.api import build_world, run_rollout
+from repro.api import build_world
 from repro.dnsproto.message import Message, ResourceRecord, make_query
 from repro.dnsproto.rdata import TXTRdata
 from repro.dnsproto.types import QType
 from repro.dnssrv import AuthoritativeServer
 from repro.dnssrv.transport import Network
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
-from repro.simulation.rollout import RolloutConfig
+from repro.simulation.rollout import RolloutConfig, run_days
 from repro.simulation.world import WorldConfig
 from repro.topology.resolvers import ResolverPolicySet
 
@@ -87,8 +87,8 @@ def fidelity_run():
 
     Network.query = checked_query
     try:
-        result = run_rollout(world, rollout,
-                             injector=FaultInjector(world, faults))
+        result = run_days(world, rollout,
+                          injector=FaultInjector(world, faults))
     finally:
         Network.query = original
     return world, result, hops

@@ -26,6 +26,7 @@ import pathlib
 
 import pytest
 
+from repro.api import run
 from repro.obs.monitor import cli as monitor_cli
 from repro.obs import dump as obs_dump
 
@@ -37,10 +38,11 @@ SCENARIO = {"scale": "tiny", "seed": 7}
 
 @pytest.fixture(scope="module")
 def monitored():
-    world, monitor, result = monitor_cli.run_monitored_rollout(**SCENARIO)
+    outcome = run(monitor_cli.scenario_spec(**SCENARIO))
+    result = outcome.result
     scenario = dict(SCENARIO,
                     sessions_per_day=result.config.sessions_per_day)
-    return monitor, result, monitor.report(scenario)
+    return outcome.monitor, result, outcome.report(scenario)
 
 
 class TestRolloutMonitoring:

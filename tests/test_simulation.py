@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.policies import EUMappingPolicy, NSMappingPolicy
 from repro.clock import SimClock
-from repro.api import build_world, run_rollout
+from repro.api import ScenarioSpec, build_world, run
 from repro.simulation import (
     RolloutConfig,
     WorldConfig,
@@ -162,7 +162,6 @@ class TestExpectationClassification:
 class TestRollout:
     @pytest.fixture(scope="class")
     def result(self):
-        world = build_world(WorldConfig.tiny())
         config = RolloutConfig(
             start_date=datetime.date(2014, 3, 20),
             end_date=datetime.date(2014, 4, 25),
@@ -171,7 +170,9 @@ class TestRollout:
             sessions_per_day=80,
             seed=5,
         )
-        return run_rollout(world, config), world
+        outcome = run(ScenarioSpec(world=WorldConfig.tiny(),
+                                   rollout=config, monitor=False))
+        return outcome.result, outcome.world
 
     def test_beacons_recorded_every_day(self, result):
         rollout, _ = result

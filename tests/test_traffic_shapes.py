@@ -326,8 +326,9 @@ class TestLoadDecay:
         rather than keep climbing."""
         import datetime
 
-        from repro.simulation.rollout import RolloutConfig, _run_rollout
-        from repro.simulation.world import WorldConfig, _build_world
+        from repro.api import build_world
+        from repro.simulation.rollout import RolloutConfig, run_days
+        from repro.simulation.world import WorldConfig
 
         class LoadProbe:
             def __init__(self):
@@ -338,14 +339,14 @@ class TestLoadDecay:
                     cluster.load_rps
                     for cluster in world.deployments.live_clusters())
 
-        world = _build_world(config=WorldConfig.tiny())
+        world = build_world(WorldConfig.tiny())
         probe = LoadProbe()
-        _run_rollout(world, config=RolloutConfig(
+        run_days(world, RolloutConfig(
             start_date=datetime.date(2014, 3, 1),
             end_date=datetime.date(2014, 3, 10),
             rollout_start=datetime.date(2014, 3, 2),
             rollout_end=datetime.date(2014, 3, 3),
-            sessions_per_day=40, seed=5), observer=probe)
+            sessions_per_day=40, seed=5), on_day=probe.on_day)
         totals = probe.total_by_day
         assert sorted(totals) == list(range(10))
         assert all(value > 0 for value in totals.values())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import sys
 import time
@@ -173,19 +174,20 @@ def main(argv: List[str] | None = None) -> int:
             return 2
         from repro.api import ScenarioSpecError
 
+        # --out is written only once every experiment has run, so a
+        # run that stops early leaves an existing file untouched.
+        buffer = io.StringIO() if args.out is not None else None
         try:
-            if args.out is None:
-                results = _run_ids(ids, args.scale, fmt=args.format,
-                                   **overrides)
-            else:
-                with open(args.out, "w") as handle:
-                    results = _run_ids(ids, args.scale, out=handle,
-                                       fmt=args.format, **overrides)
-                print(f"wrote {args.out}", file=sys.stderr)
+            results = _run_ids(ids, args.scale, out=buffer,
+                               fmt=args.format, **overrides)
         except ScenarioSpecError as exc:
             print(f"error: {args.experiment} at scale {args.scale}: "
                   f"{exc}", file=sys.stderr)
             return 2
+        if buffer is not None:
+            with open(args.out, "w") as handle:
+                handle.write(buffer.getvalue())
+            print(f"wrote {args.out}", file=sys.stderr)
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "report":

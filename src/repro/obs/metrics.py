@@ -39,7 +39,10 @@ multiply-count).  Histograms merge exactly via their moment
 accumulators (count / weighted total / weight) while the retained
 samples concatenate in merge order and re-compact deterministically,
 so merging shard registries in a fixed shard order yields
-byte-identical snapshots regardless of how many processes ran.
+byte-identical snapshots regardless of how many processes ran.  A
+shard records its day-by-day history as one :class:`RegistryMark` per
+day (:meth:`MetricsRegistry.mark`); a mark references the registry's
+sample lists instead of copying them.
 """
 
 from __future__ import annotations
@@ -282,7 +285,7 @@ class MetricsRegistry:
         for collector in self._collectors:
             collector(self)
 
-    # -- merge / clone / pickling ----------------------------------------
+    # -- merge / mark / pickling -----------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry's instruments into this one.
@@ -319,32 +322,17 @@ class MetricsRegistry:
             target.merge(source)
         return self
 
-    def clone(self) -> "MetricsRegistry":
-        """Deep copy of every instrument, without the collectors.
+    def mark(self) -> "RegistryMark":
+        """A read-only record of every instrument as it stands now.
 
-        Collector-backed gauges hold whatever the last
-        :meth:`collect` wrote, so call that first to capture live
-        component state (the sharded engine clones once per simulated
-        day to feed the monitor replay).
+        Runs the collectors first, so collector-backed gauges hold live
+        component state; the collectors themselves are not recorded.
+        :meth:`RegistryMark.rebuild` turns the mark back into the
+        registry a deep copy taken now would have been (the sharded
+        engine marks each simulated day to feed the monitor replay).
         """
         self.collect()
-        copy = MetricsRegistry()
-        for name, counter in self._counters.items():
-            duplicate = copy.counter(name, counter.help,
-                                     merge=counter.merge)
-            duplicate.value = counter.value
-        for name, gauge in self._gauges.items():
-            duplicate = copy.gauge(name, gauge.help, merge=gauge.merge)
-            duplicate.value = gauge.value
-        for name, hist in self._histograms.items():
-            duplicate = copy.histogram(name, hist.help,
-                                       max_samples=hist.max_samples)
-            duplicate.count = hist.count
-            duplicate.total = hist.total
-            duplicate.weight_total = hist.weight_total
-            duplicate._values = list(hist._values)
-            duplicate._weights = list(hist._weights)
-        return copy
+        return RegistryMark(self)
 
     def __getstate__(self) -> Dict:
         """Pickle support for process-pool transport.
@@ -444,6 +432,53 @@ class MetricsRegistry:
         self._gauges.clear()
         self._histograms.clear()
         self._collectors.clear()
+
+
+class RegistryMark:
+    """One moment of a registry, held by reference (see
+    :meth:`MetricsRegistry.mark`).
+
+    Counter and gauge values are copied; each histogram keeps its
+    moment accumulators, its retained-sample length ``n`` and
+    references to its live ``_values``/``_weights`` lists.  That is
+    exact because nothing rewrites a sample list in place:
+    :meth:`Histogram.observe` and :meth:`Histogram.merge` only append
+    to it, and :meth:`Histogram._compact` binds fresh lists.  So the
+    first ``n`` entries of a referenced list stay what they were at
+    mark time, however the histogram grows or compacts later.  Marks
+    taken over one registry share its sample lists, so pickling the
+    registry together with its marks sends each list once (pickle's
+    memo) instead of one copy per mark.
+    """
+
+    __slots__ = ("_counters", "_gauges", "_histograms")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._counters = {name: (c.help, c.merge, c.value)
+                          for name, c in registry._counters.items()}
+        self._gauges = {name: (g.help, g.merge, g.value)
+                        for name, g in registry._gauges.items()}
+        self._histograms = {
+            name: (h.help, h.max_samples, h.count, h.total,
+                   h.weight_total, len(h._values), h._values, h._weights)
+            for name, h in registry._histograms.items()}
+
+    def rebuild(self) -> MetricsRegistry:
+        """A fresh registry holding the marked state (no collectors)."""
+        registry = MetricsRegistry()
+        for name, (help, merge, value) in self._counters.items():
+            registry.counter(name, help, merge=merge).value = value
+        for name, (help, merge, value) in self._gauges.items():
+            registry.gauge(name, help, merge=merge).value = value
+        for name, (help, max_samples, count, total, weight_total, n,
+                   values, weights) in self._histograms.items():
+            hist = registry.histogram(name, help, max_samples=max_samples)
+            hist.count = count
+            hist.total = total
+            hist.weight_total = weight_total
+            hist._values = values[:n]
+            hist._weights = weights[:n]
+        return registry
 
 
 def _prom_name(name: str) -> str:

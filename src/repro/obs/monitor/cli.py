@@ -90,7 +90,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.experiments.scales import scale_names
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.monitor", description=__doc__,
+        prog="python -m repro monitor", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scale", default="tiny", choices=scale_names())
     parser.add_argument("--seed", type=int, default=7)

@@ -19,15 +19,21 @@ sub-worlds (:mod:`repro.parallel.plan`) and executes them on up to
    come only from the shard's own blocks, drawn from a shard-local RNG
    seeded by ``f"{seed}:shard:{index}"`` and paced by the shard's
    largest-remainder quota for each day;
-3. returns its registry, result (beacons, query log, per-day tallies),
-   traces, and -- when a monitor is attached -- one registry clone per
-   simulated day.
+3. returns its final registry, result (beacons, query log, per-day
+   tallies), its trace export as one JSON text, and -- when a monitor
+   is attached -- one :class:`~repro.obs.metrics.RegistryMark` per
+   simulated day.  A mark copies the scalar values but only
+   *references* the histograms' sample lists with their day-end
+   lengths, so a shard's whole day history pickles in about the size
+   of its final registry instead of one full registry per day.
 
 The parent merges everything in fixed shard order
 (:mod:`repro.parallel.merge`) and *replays the monitor*: for each day
-it calls :meth:`~repro.obs.monitor.RolloutMonitor.observe` with the
-merged clones of that day and the merged result, so alert rules
-evaluate the same global per-day signals a serial monitored run sees.
+it rebuilds every shard's day registry from its mark, merges them, and
+calls :meth:`~repro.obs.monitor.RolloutMonitor.observe` with that and
+the merged result, so alert rules evaluate the same global per-day
+signals a serial monitored run sees.  Trace texts are decoded and
+concatenated only when :attr:`ShardedRun.traces` is first read.
 
 Determinism contract
 --------------------
@@ -43,12 +49,13 @@ determinism domain.
 
 from __future__ import annotations
 
+import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, RegistryMark
 from repro.obs.profile import DISABLED_PROFILER, PhaseProfiler
 from repro.parallel.merge import (
     merge_profiles,
@@ -70,15 +77,23 @@ _PER_DAY_TALLIES = ("sessions_per_day", "requests_per_day",
 
 @dataclass
 class ShardOutput:
-    """Everything one shard worker ships back to the parent."""
+    """Everything one shard worker ships back to the parent.
+
+    ``day_marks`` reference the sample lists of ``registry``'s
+    histograms, so the pickle that carries both sends each list once.
+    """
 
     shard: int
     registry: MetricsRegistry
     result: RolloutResult
-    traces: List[Dict]
+    trace_text: str
+    """``json.dumps`` of the shard tracer's export (every span
+    attribute is a str, int, float, bool or None, so decoding gives
+    back equal traces)."""
     trace_counts: Dict[str, int]
-    day_registries: Dict[int, MetricsRegistry] = field(
-        default_factory=dict)
+    day_marks: Dict[int, RegistryMark] = field(default_factory=dict)
+    """Day index -> the registry as it stood after that day, when the
+    spec has a monitor."""
     profiler: Optional[PhaseProfiler] = None
     """The shard's engine phase profile, when ``spec.profile`` opted
     in (phase trees pickle across the process boundary)."""
@@ -105,13 +120,13 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     world = _world_for(spec, load_scale=float(n_shards),
                        profiler=profiler)
     registry = world.obs.registry
-    day_registries: Dict[int, MetricsRegistry] = {}
+    day_marks: Dict[int, RegistryMark] = {}
 
     def on_day(day: int, world, result) -> None:
-        # One instrument-only clone per day feeds the parent's monitor
-        # replay; clone() runs the collectors first, so collector-backed
-        # gauges hold end-of-day component state.
-        day_registries[day] = registry.clone()
+        # One mark per day feeds the parent's monitor replay; mark()
+        # runs the collectors first, so collector-backed gauges hold
+        # end-of-day component state.
+        day_marks[day] = registry.mark()
 
     # One independent RNG per shard, seeded by (seed, shard).  String
     # seeds hash through SHA-512 inside random.Random, so the stream is
@@ -133,11 +148,11 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     tracer = world.obs.tracer
     return ShardOutput(
         shard=shard, registry=registry, result=result,
-        traces=tracer.export(),
+        trace_text=json.dumps(tracer.export(), separators=(",", ":")),
         trace_counts={"started": tracer.started,
                       "sampled": tracer.sampled,
                       "dropped": tracer.dropped},
-        day_registries=day_registries, profiler=profiler)
+        day_marks=day_marks, profiler=profiler)
 
 
 # -- the merged run ----------------------------------------------------------
@@ -148,7 +163,7 @@ class ShardedRun:
 
     The sharded sibling of :class:`repro.api.ScenarioRun`.  There is no
     single live ``world`` (each worker's world died with its process);
-    the merged registry and trace export stand in for the world-level
+    the merged registry and :attr:`traces` stand in for the world-level
     observability surfaces.
     """
 
@@ -156,7 +171,8 @@ class ShardedRun:
     result: object
     monitor: Optional[object]
     registry: MetricsRegistry
-    traces: List[Dict]
+    trace_texts: List[str]
+    """Each shard's trace export as JSON text, in shard order."""
     trace_counts: Dict[str, int]
     n_shards: int
     workers: int
@@ -166,6 +182,17 @@ class ShardedRun:
     """The merged engine phase profile (parent plan/execute/merge
     phases with every worker tree grafted under ``shard.workers``),
     when ``spec.profile`` opted in."""
+    _traces: Optional[List[Dict]] = field(default=None, init=False,
+                                          repr=False, compare=False)
+
+    @property
+    def traces(self) -> List[Dict]:
+        """The merged trace export: every shard's span trees, in shard
+        order, decoded and concatenated on first read."""
+        if self._traces is None:
+            self._traces = merge_traces(
+                [json.loads(text) for text in self.trace_texts])
+        return self._traces
 
     def report(self, scenario: Optional[Dict] = None) -> Dict:
         """The monitor's deterministic report document."""
@@ -246,7 +273,6 @@ def run_sharded(spec=None, *, workers: int = 1,
             **{name: sum_day_dicts(getattr(r, name) for r in results)
                for name in _PER_DAY_TALLIES})
         registry = merge_registries([out.registry for out in outputs])
-        traces = merge_traces([out.traces for out in outputs])
         trace_counts = {
             key: sum(out.trace_counts.get(key, 0) for out in outputs)
             for key in ("started", "sampled", "dropped")}
@@ -258,7 +284,8 @@ def run_sharded(spec=None, *, workers: int = 1,
 
     return ShardedRun(
         spec=spec, result=result, monitor=monitor, registry=registry,
-        traces=traces, trace_counts=trace_counts, n_shards=n_shards,
+        trace_texts=[out.trace_text for out in outputs],
+        trace_counts=trace_counts, n_shards=n_shards,
         workers=workers,
         shard_sessions=[sum(r.sessions_per_day.values())
                         for r in results],
@@ -270,12 +297,12 @@ def _replay_monitor(monitor, spec, outputs: List[ShardOutput],
     """Drive the monitor over merged per-day registries.
 
     The serial engine observes the live world's registry after each
-    day; here every shard captured a registry clone per day, so the
-    replay merges the clones for day *d* (fixed shard order) and hands
-    them, with the merged result, to the same
-    :meth:`~repro.obs.monitor.RolloutMonitor.observe` the serial
-    engine reaches through ``on_day``.
+    day; here every shard marked its registry after each day, so the
+    replay rebuilds the day-*d* registries from those marks, merges
+    them (fixed shard order) and hands the merge, with the merged
+    result, to the same :meth:`~repro.obs.monitor.RolloutMonitor.observe`
+    the serial engine reaches through ``on_day``.
     """
     for day in range(spec.rollout.n_days):
         monitor.observe(day, merge_registries(
-            [out.day_registries[day] for out in outputs]), result)
+            [out.day_marks[day].rebuild() for out in outputs]), result)

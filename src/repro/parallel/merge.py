@@ -13,7 +13,8 @@ every exported byte -- is identical no matter how many processes ran:
 * **query logs** -- :meth:`repro.measurement.querylog.QueryLog.merge`
   (totals and per-bucket counts add, pair rows concatenate);
 * **traces** -- span trees concatenate in shard order (each tree is
-  already internally ordered by its per-trace span ids);
+  already internally ordered by its per-trace span ids); shards ship
+  them as JSON text, decoded only when ``ShardedRun.traces`` is read;
 * **per-day tallies** -- plain integer sums;
 * **phase profiles** -- worker trees graft under the parent's
   ``shard.workers`` phase (calls/work sum by phase name, structure is

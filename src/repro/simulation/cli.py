@@ -175,9 +175,12 @@ def _cmd_rollout(args) -> int:
     if args.workers is not None:
         # --workers only sizes the pool: --workers 1 and --workers 8
         # print identical reports.
-        print(f"running {args.shards} shards on {args.workers} "
+        from repro.parallel import DEFAULT_SHARDS
+
+        shards = args.shards or DEFAULT_SHARDS
+        print(f"running {shards} shards on {args.workers} "
               f"worker(s)...", file=sys.stderr)
-        outcome = run(spec, workers=args.workers, shards=args.shards)
+        outcome = run(spec, workers=args.workers, shards=shards)
     else:
         outcome = run(spec)
     result = outcome.result
@@ -271,7 +274,7 @@ def main(argv: List[str] | None = None) -> int:
     rollout.add_argument("--workers", type=positive_int, default=None,
                          help="run sharded across N worker processes "
                               "(output is byte-identical for any N)")
-    rollout.add_argument("--shards", type=positive_int, default=8,
+    rollout.add_argument("--shards", type=positive_int, default=None,
                          help="shard count of the deterministic plan "
                               "(default 8); needs --workers")
     rollout.add_argument("--traffic", type=traffic_schedule,
@@ -325,6 +328,12 @@ def main(argv: List[str] | None = None) -> int:
         rollout.error("--unit-scheme requires --control-plane")
     if args.command == "rollout" and args.days < 3:
         rollout.error(f"--days must be at least 3, got {args.days}")
+    if args.command == "rollout" and args.shards is not None \
+            and args.workers is None:
+        # The serial engine has no shard plan: --shards alone would be
+        # silently ignored.
+        print("error: --shards needs --workers", file=sys.stderr)
+        return 2
     handlers = {
         "world-info": _cmd_world_info,
         "rollout": _cmd_rollout,

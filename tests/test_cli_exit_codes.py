@@ -85,6 +85,15 @@ class TestWorkersValidation:
         assert code == 2
         assert "positive integer" in err
 
+    def test_sim_rollout_rejects_shards_without_workers(self):
+        # The serial engine has no shard plan, so --shards alone would
+        # be silently ignored.
+        code, out, err = _run(["sim", "rollout", "--days", "3",
+                               "--sessions", "2", "--shards", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: --shards needs --workers"
+
     def test_workers_flag_is_advertised(self):
         code, out, _ = _run(["sim", "rollout", "--help"])
         assert code == 0
@@ -121,6 +130,13 @@ class TestMonitorValidation:
             "the monitor to baseline on")
 
 
+class TestMonitorUsage:
+    def test_help_names_the_dispatcher_spelling(self):
+        code, out, _ = _run(["monitor", "--help"])
+        assert code == 0
+        assert out.startswith("usage: python -m repro monitor ")
+
+
 class TestScenarioSpecErrors:
     def test_experiment_at_a_scale_without_a_baseline_exits_two(self):
         # Degradation runs monitored scenarios; the large scale's
@@ -133,6 +149,33 @@ class TestScenarioSpecErrors:
         last = err.strip().splitlines()[-1]
         assert last.startswith("error: degradation at scale large: ")
         assert "baseline" in last
+
+
+class TestExperimentOut:
+    """``--out`` is written only after every experiment has run."""
+
+    def test_out_holds_what_stdout_would(self, tmp_path):
+        path = tmp_path / "fig05.json"
+        argv = ["experiment", "run", "fig05", "--scale", "tiny",
+                "--format", "json"]
+        code, printed, _ = _run(argv)
+        assert code == 0
+        code, out, err = _run(argv + ["--out", str(path)])
+        assert code == 0
+        assert out == ""
+        assert err.strip() == f"wrote {path}"
+        assert path.read_text() == printed
+
+    def test_failing_run_leaves_an_existing_out_file_untouched(
+            self, tmp_path):
+        previous = tmp_path / "previous.json"
+        previous.write_text('{"kept": true}\n')
+        code, _, err = _run(["degradation", "--scale", "large",
+                             "--sessions", "5", "--out",
+                             str(previous)])
+        assert code == 2
+        assert "wrote" not in err
+        assert previous.read_text() == '{"kept": true}\n'
 
 
 class TestExperimentRunFlags:

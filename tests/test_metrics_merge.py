@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, RegistryMark
 
 
 def _union_equivalent(split_observations, merged_observations):
@@ -189,29 +189,6 @@ class TestIdentityAndClone:
         assert merged.snapshot() == {"counters": {}, "gauges": {},
                                      "histograms": {}}
 
-    def test_clone_detaches_state_and_collectors(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.histogram("h").observe(1.0)
-        pulse = {"beats": 0}
-
-        def collector(reg):
-            pulse["beats"] += 1
-            reg.gauge("live").set(pulse["beats"])
-
-        registry.register_collector(collector)
-        clone = registry.clone()
-        beats_at_clone = pulse["beats"]
-        # Mutating either side never leaks to the other.
-        registry.counter("c").inc(10)
-        clone.histogram("h").observe(99.0)
-        assert clone.value("c") == 2.0
-        assert registry._histograms["h"].count == 1
-        # The clone captured collector output but not the collector.
-        assert clone.value("live") == beats_at_clone
-        clone.collect()
-        assert pulse["beats"] == beats_at_clone
-
     def test_pickle_roundtrip_drops_collectors(self):
         registry = MetricsRegistry()
         registry.counter("c", merge="max").inc(4)
@@ -223,3 +200,106 @@ class TestIdentityAndClone:
         assert thawed.to_json() == registry.to_json()
         assert thawed._collectors == []
         assert thawed.counter("c").merge == "max"
+
+
+def _copy(registry: MetricsRegistry) -> MetricsRegistry:
+    """An independent deep copy (collectors dropped, as in transport)."""
+    return pickle.loads(pickle.dumps(registry))
+
+
+def _state(registry: MetricsRegistry):
+    """Every instrument's full state, sample lists included."""
+    return (
+        {n: (c.help, c.merge, c.value)
+         for n, c in registry._counters.items()},
+        {n: (g.help, g.merge, g.value)
+         for n, g in registry._gauges.items()},
+        {n: (h.help, h.max_samples, h.count, h.total, h.weight_total,
+             list(h._values), list(h._weights))
+         for n, h in registry._histograms.items()})
+
+
+class TestRegistryMark:
+    """``MetricsRegistry.mark`` records a registry by reference; the
+    sharded engine ships one mark per day alongside the final registry
+    and rebuilds each day's registry for the monitor replay."""
+
+    def test_rebuild_survives_a_later_compaction(self):
+        registry = MetricsRegistry()
+        registry.counter("c", merge="max").inc(2)
+        hist = registry.histogram("h", "help", max_samples=4)
+        for value in (5.0, 1.0, 3.0):
+            hist.observe(value, 2.0)
+        expected = _copy(registry)
+        mark = registry.mark()
+        marked_list = hist._values
+        for value in (9.0, 7.0, 2.0, 8.0):
+            hist.observe(value)
+        registry.counter("c").inc(5)
+        assert hist._values is not marked_list  # compacted since
+        rebuilt = mark.rebuild()
+        assert _state(rebuilt) == _state(expected)
+        assert rebuilt.to_json() == expected.to_json()
+
+    def test_rebuild_is_independent_of_the_source(self):
+        registry = MetricsRegistry()
+        registry.histogram("h").observe(1.0)
+        expected = _copy(registry)
+        mark = registry.mark()
+        mark.rebuild().histogram("h").observe(99.0)
+        registry.histogram("h").observe(42.0)
+        assert _state(mark.rebuild()) == _state(expected)
+
+    def test_instruments_created_after_the_mark_are_absent(self):
+        registry = MetricsRegistry()
+        registry.counter("before").inc()
+        mark = registry.mark()
+        registry.counter("after").inc()
+        registry.gauge("late").set(3.0)
+        registry.histogram("later").observe(1.0)
+        snapshot = mark.rebuild().snapshot()
+        assert snapshot == {"counters": {"before": 1.0}, "gauges": {},
+                            "histograms": {}}
+
+    def test_collector_gauges_are_captured_not_the_collector(self):
+        registry = MetricsRegistry()
+        pulse = {"beats": 0}
+
+        def collector(reg):
+            pulse["beats"] += 1
+            reg.gauge("live").set(pulse["beats"])
+
+        registry.register_collector(collector)
+        mark = registry.mark()
+        beats_at_mark = pulse["beats"]
+        assert beats_at_mark == 1
+        rebuilt = mark.rebuild()
+        assert rebuilt.value("live") == beats_at_mark
+        assert rebuilt._collectors == []
+        rebuilt.collect()
+        assert pulse["beats"] == beats_at_mark
+
+    def test_pickled_marks_share_the_final_sample_list(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("rtt")
+        marks = []
+        for day in range(14):
+            for index in range(200):
+                hist.observe(float(day * 200 + index), 1.0 + index % 3)
+            registry.counter("sessions").inc(200)
+            marks.append(registry.mark())
+        alone = len(pickle.dumps(registry))
+        both = pickle.dumps((registry, marks))
+        assert len(both) < 1.2 * alone
+        final, thawed = pickle.loads(both)
+        for mark in thawed:
+            assert isinstance(mark, RegistryMark)
+            entry = mark._histograms["rtt"]
+            assert entry[-2] is final._histograms["rtt"]._values
+            assert entry[-1] is final._histograms["rtt"]._weights
+        for day, mark in enumerate(thawed):
+            rebuilt = mark.rebuild()
+            assert rebuilt.value("sessions") == 200.0 * (day + 1)
+            assert rebuilt._histograms["rtt"].count == 200 * (day + 1)
+        assert _state(thawed[-1].rebuild()) == _state(final)
+
